@@ -91,11 +91,17 @@ def _scan(text: str, token_re: re.Pattern, what: str) -> list:
     return out
 
 
+# Deepest parenthesis nesting the recursive parsers accept: deeper input
+# is a parse error, well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Cursor:
     def __init__(self, tokens, what):
         self.tokens = tokens
         self.what = what
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -112,6 +118,16 @@ class _Cursor:
     def done(self):
         if self.peek() is not None:
             raise ExprParseError(f"unexpected trailing token {self.peek()!r}")
+
+    def nested(self, parse):
+        """parse(self) one nesting level deeper, refused past MAX_NESTING levels."""
+        if self.depth >= MAX_NESTING:
+            raise ExprParseError(f"{self.what} expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(self)
+        finally:
+            self.depth -= 1
 
 
 # -- space expressions: S{n}, pt, wedge +, product x, smash ^, J(K,n), Q(K,n)
@@ -161,7 +177,7 @@ def _space_level(cur) -> int:
 def _space_atom(cur) -> SSet:
     tok = cur.take()
     if tok == "(":
-        K = _space_sum(cur)
+        K = cur.nested(_space_sum)
         cur.take(")")
         return K
     if tok == "pt":
@@ -170,7 +186,7 @@ def _space_atom(cur) -> SSet:
         return build_sphere(int(tok[1:]))
     if tok in ("J", "Q"):
         cur.take("(")
-        K = _space_sum(cur)
+        K = cur.nested(_space_sum)
         cur.take(",")
         n = _space_level(cur)
         cur.take(")")
@@ -348,7 +364,7 @@ def _sheaf_tensor(cur) -> SheafExpr:
 def _sheaf_atom(cur) -> SheafExpr:
     tok = cur.take()
     if tok == "(":
-        e = _sheaf_tensor(cur)
+        e = cur.nested(_sheaf_tensor)
         cur.take(")")
     elif tok == "KMW":
         cur.take("(")

@@ -12,12 +12,13 @@ from .simplicial import (
     SMap,
     SSet,
     Simplex,
+    _simplex,
     collapse,
     degenerate,
     face,
-    in_degeneracy_image,
     is_isomorphic,
     joint_normal_form,
+    shared_degeneracies,
     simplex_token,
     smash,
     smash_class,
@@ -84,12 +85,8 @@ def word_degenerate(w: JamesWord, i: int) -> JamesWord:
 
 
 def word_is_degenerate(w: JamesWord) -> bool:
-    if not w.letters:
-        return w.dim > 0
-    return any(
-        all(in_degeneracy_image(w.complex, x, i) for x in w.letters)
-        for i in range(w.dim)
-    )
+    # an empty word is degenerate in every positive dimension
+    return bool(shared_degeneracies(w.letters, w.dim))
 
 
 def word_token(w: JamesWord) -> str:
@@ -106,7 +103,7 @@ def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
 
 def _word_simplex(w: JamesWord) -> Simplex:
     word, core = word_normal_form(w)
-    return Simplex(word_token(core), word, w.dim)
+    return _simplex(word_token(core), word, w.dim)
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,16 @@ Only nondegenerate simplices are stored. An arbitrary simplex is a
 generator name together with a degeneracy word in normal form, so equality
 of simplices is literal equality and the simplicial identities can be
 enforced mechanically on construction.
+
+Normal-form rule: by the Eilenberg-Zilber lemma a simplex x = s_W(y), with
+y nondegenerate and W a strictly decreasing word, lies in the image of s_i
+exactly when i is a letter of W (May, Simplicial Objects in Algebraic
+Topology, 1967, section 4). So degeneracy tests and shared normal forms are
+word arithmetic and need no face calls.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -15,8 +22,10 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError, ExprParseError
 
-# Backtracking isomorphism search refuses larger complexes.
+# Backtracking isomorphism search refuses larger complexes, and gives up
+# after this many candidate checks.
 ISO_GENERATOR_CAP = 512
+ISO_NODE_BUDGET = 200_000
 
 
 def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -35,15 +44,13 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     """
     if i < 0:
         raise DomainError(f"degeneracy index must be nonnegative, got {i}")
-    if not word:
-        return (i,)
-    j = word[0]
-    if i > j:
-        return (i,) + word
-    return (j + 1,) + insert_degeneracy(word[1:], i)
+    k = 0
+    while k < len(word) and word[k] >= i:
+        k += 1
+    return tuple(j + 1 for j in word[:k]) + (i,) + word[k:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Simplex:
     """A simplex of some complex: generator name plus degeneracy word.
 
@@ -67,7 +74,20 @@ class Simplex:
         return bool(self.word)
 
 
+_setattr = object.__setattr__
+
+
+def _simplex(generator: str, word: tuple[int, ...], dim: int) -> Simplex:
+    """A Simplex whose word is normal by construction, built without the check."""
+    x = object.__new__(Simplex)
+    _setattr(x, "generator", generator)
+    _setattr(x, "word", word)
+    _setattr(x, "dim", dim)
+    return x
+
+
 _NAME_RE = re.compile(r"^\S+$")
+_DEGENERACY_NAME_RE = re.compile(r"s\d+")
 
 
 @dataclass(frozen=True)
@@ -90,6 +110,12 @@ class SSet:
         for n, d in self.gens:
             by_dim.setdefault(d, []).append(n)
         object.__setattr__(self, "_by_dim", {d: tuple(v) for d, v in by_dim.items()})
+        # hashed once: caches keyed on complexes would otherwise re-hash
+        # every face on every lookup
+        object.__setattr__(self, "_hash", hash((self.basepoint, self.gens, self.face_table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- construction ---------------------------------------------------
 
@@ -98,7 +124,7 @@ class SSet:
         if basepoint not in dims or dims[basepoint] != 0:
             raise DomainError(f"basepoint {basepoint!r} must be a dimension-0 generator")
         for name, d in dims.items():
-            if not _NAME_RE.match(name) or re.fullmatch(r"s\d+", name):
+            if not _NAME_RE.match(name) or _DEGENERACY_NAME_RE.fullmatch(name):
                 raise DomainError(f"bad generator name {name!r}")
             if d < 0:
                 raise DomainError(f"generator {name!r} has negative dimension")
@@ -121,14 +147,15 @@ class SSet:
                     raise DomainError(f"face {i} of {name!r} references unknown generator {f.generator!r}")
                 if f.dim != d - 1 or self.dim_of(f.generator) + len(f.word) != f.dim:
                     raise DomainError(f"face {i} of {name!r} has inconsistent dimension")
-        # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators
+        # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators;
+        # ff[j][i] = d_i d_j x, each computed once
         for name, d in self.gens:
             if d < 2:
                 continue
-            x = self.simplex(name)
-            for j in range(d + 1):
+            ff = [[face(self, f, i) for i in range(d)] for f in self._faces[name]]
+            for j in range(1, d + 1):
                 for i in range(j):
-                    if face(self, face(self, x, j), i) != face(self, face(self, x, i), j - 1):
+                    if ff[j][i] != ff[i][j - 1]:
                         raise DomainError(f"simplicial identity fails at generator {name!r} (i={i}, j={j})")
 
     # -- lookups --------------------------------------------------------
@@ -162,7 +189,7 @@ class SSet:
 
     def basepoint_simplex(self, dim: int) -> Simplex:
         """The unique simplex over the basepoint in each dimension."""
-        return Simplex(self.basepoint, tuple(range(dim - 1, -1, -1)), dim)
+        return _simplex(self.basepoint, tuple(range(dim - 1, -1, -1)), dim)
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
         """All simplices of the given dimension, degenerate ones included."""
@@ -171,7 +198,7 @@ class SSet:
             if d > dim:
                 continue
             for idx in itertools.combinations(range(dim), dim - d):
-                out.append(Simplex(name, tuple(reversed(idx)), dim))
+                out.append(_simplex(name, tuple(reversed(idx)), dim))
         return tuple(out)
 
 
@@ -179,24 +206,39 @@ def degenerate(x: Simplex, i: int) -> Simplex:
     """s_i applied to x, in normal form."""
     if not 0 <= i <= x.dim:
         raise DomainError(f"degeneracy index {i} out of range for dim {x.dim}")
-    return Simplex(x.generator, insert_degeneracy(x.word, i), x.dim + 1)
+    return _simplex(x.generator, insert_degeneracy(x.word, i), x.dim + 1)
 
 
 def face(K: SSet, x: Simplex, i: int) -> Simplex:
-    """d_i applied to x, commuted into normal form via the simplicial identities."""
-    if x.dim == 0:
+    """d_i applied to x, commuted into normal form via the simplicial identities.
+
+    Walks the word outermost first: d_i s_a = s_{a-1} d_i for i < a,
+    d_i s_a = id for i in (a, a+1), and d_i s_a = s_a d_{i-1} for i > a+1.
+    """
+    dim, word = x.dim, x.word
+    if dim == 0:
         raise DomainError("a 0-simplex has no faces")
-    if not 0 <= i <= x.dim:
-        raise DomainError(f"face index {i} out of range for dim {x.dim}")
-    if not x.word:
-        return K.faces_of(x.generator)[i]
-    a = x.word[0]
-    inner = Simplex(x.generator, x.word[1:], x.dim - 1)  # x = s_a inner
-    if i < a:
-        return degenerate(face(K, inner, i), a - 1)
-    if i in (a, a + 1):
-        return inner
-    return degenerate(face(K, inner, i - 1), a)
+    if not 0 <= i <= dim:
+        raise DomainError(f"face index {i} out of range for dim {dim}")
+    if len(word) == dim:  # over a vertex: the one (dim-1)-simplex there
+        return _simplex(x.generator, word[1:], dim - 1)
+    outer: list[int] = []  # degeneracies pulled out, outermost first
+    for k, a in enumerate(word):
+        if i < a:
+            outer.append(a - 1)
+        elif i <= a + 1:
+            # outer letters all exceed word[k + 1], so this is normal
+            return _simplex(x.generator, tuple(outer) + word[k + 1:], dim - 1)
+        else:
+            outer.append(a)
+            i -= 1
+    f = K.faces_of(x.generator)[i]
+    if not outer:
+        return f
+    w = f.word
+    for a in reversed(outer):
+        w = insert_degeneracy(w, a)
+    return _simplex(f.generator, w, dim - 1)
 
 
 _OP_RE = re.compile(r"^([ds])(\d+)$")
@@ -212,10 +254,15 @@ def apply_operator(s: Simplex, op: str, K: SSet) -> Simplex:
 
 
 def in_degeneracy_image(K: SSet, x: Simplex, i: int) -> bool:
-    """True iff x = s_i(y) for some y (then y = d_i(x))."""
-    if x.dim == 0 or i >= x.dim:
-        return False
-    return degenerate(face(K, x, i), i) == x
+    """True iff x = s_i(y) for some y (then y = d_i(x)): i is in x's word."""
+    return i in x.word
+
+
+def shared_degeneracies(xs: tuple[Simplex, ...], dim: int) -> set[int]:
+    """Indices i with every x in the image of s_i; all of range(dim) if xs is empty."""
+    if not xs:
+        return set(range(dim))
+    return set(xs[0].word).intersection(*(x.word for x in xs[1:]))
 
 
 def joint_normal_form(
@@ -225,27 +272,18 @@ def joint_normal_form(
 
     Returns (word, cores) with xs = s_word applied componentwise to cores
     and the cores jointly nondegenerate.  An empty tuple strips all the
-    way down to dimension 0.
+    way down to dimension 0.  The shared word is the intersection S of the
+    words; each core keeps its other letters, each lowered by the number
+    of letters of S below it.
     """
-    strips: list[int] = []
-    cur = xs
-    d = dim
-    while d > 0:
-        if cur:
-            hit = next(
-                (i for i in range(d) if all(in_degeneracy_image(K, x, i) for K, x in zip(complexes, cur))),
-                None)
-        else:
-            hit = 0  # empty tuple: every operator index is shared
-        if hit is None:
-            break
-        cur = tuple(face(K, x, hit) for K, x in zip(complexes, cur))
-        strips.append(hit)
-        d -= 1
-    word: tuple[int, ...] = ()
-    for i in reversed(strips):
-        word = insert_degeneracy(word, i)
-    return word, cur
+    shared = shared_degeneracies(xs, dim)
+    if not shared:
+        return (), xs
+    low = sorted(shared)
+    cores = tuple(
+        _simplex(x.generator, tuple(j - bisect.bisect(low, j) for j in x.word if j not in shared), dim - len(low))
+        for x in xs)
+    return tuple(reversed(low)), cores
 
 
 def simplex_token(x: Simplex) -> str:
@@ -276,41 +314,47 @@ def build_sphere(n: int) -> SSet:
     return K
 
 
+@functools.lru_cache(maxsize=None)
 def _shuffle_words(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     # All normal degeneracy words raising dimension p to n: decreasing
     # (n-p)-subsets of {0..n-1}.
     return tuple(tuple(reversed(c)) for c in itertools.combinations(range(n), n - p))
 
 
-@functools.lru_cache(maxsize=None)
-def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, tuple[tuple[str, tuple[Simplex, Simplex]], ...]]:
-    """Categorical product plus the generator-to-component-pair table."""
-    dims: dict[str, int] = {}
+PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
+
+
+def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, keep) -> tuple[SSet, PairTable]:
+    """The jointly nondegenerate pairs (x, y) of A x B over generator pairs
+    that keep accepts, each named "(x<sep>y)", with faces class_of(d_i x, d_i y)."""
+    dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
     pairs: dict[str, tuple[Simplex, Simplex]] = {}
     for (a, p), (b, q) in itertools.product(A.gens, B.gens):
+        if not keep(a, b):
+            continue
         for n in range(max(p, q), p + q + 1):
             for I in _shuffle_words(n, p):
                 for J in _shuffle_words(n, q):
-                    if set(I) & set(J):
+                    if not set(I).isdisjoint(J):
                         continue
-                    sa, sb = Simplex(a, I, n), Simplex(b, J, n)
-                    name = f"({simplex_token(sa)},{simplex_token(sb)})"
+                    sa, sb = _simplex(a, I, n), _simplex(b, J, n)
+                    name = f"({simplex_token(sa)}{sep}{simplex_token(sb)})"
                     dims[name] = n
                     pairs[name] = (sa, sb)
-    basepoint = f"({A.basepoint},{B.basepoint})"
+                    if n:
+                        faces[name] = tuple(class_of(face(A, sa, i), face(B, sb, i)) for i in range(n + 1))
+    return SSet.build(basepoint, dims, faces), tuple(sorted(pairs.items()))
 
+
+@functools.lru_cache(maxsize=None)
+def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
+    """Categorical product plus the generator-to-component-pair table."""
     def class_of(x: Simplex, y: Simplex) -> Simplex:
         word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
-        return Simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
+        return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
 
-    for name, n in dims.items():
-        if n == 0:
-            continue
-        sa, sb = pairs[name]
-        faces[name] = tuple(class_of(face(A, sa, i), face(B, sb, i)) for i in range(n + 1))
-    K = SSet.build(basepoint, dims, faces)
-    return K, tuple(sorted(pairs.items()))
+    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", ",", class_of, lambda a, b: True)
 
 
 def product(A: SSet, B: SSet) -> SSet:
@@ -330,7 +374,7 @@ def wedge(A: SSet, B: SSet) -> SSet:
             dims[new] = d
             if d > 0:
                 faces[new] = tuple(
-                    Simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
+                    _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
                     for f in K.faces_of(name))
 
     port(A, "l.")
@@ -358,7 +402,7 @@ def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
         if d == 0:
             continue
         faces[name] = tuple(
-            Simplex(K.basepoint, tuple(range(f.dim - 1, -1, -1)), f.dim) if f.generator in kill else f
+            K.basepoint_simplex(f.dim) if f.generator in kill else f
             for f in K.faces_of(name))
     return SSet.build(K.basepoint, dims, faces)
 
@@ -373,51 +417,41 @@ def rename(K: SSet, mapping: dict[str, str]) -> SSet:
         raise DomainError("renaming collides generator names")
     dims = {nm(n): d for n, d in K.gens}
     faces = {
-        nm(n): tuple(Simplex(nm(f.generator), f.word, f.dim) for f in fs)
+        nm(n): tuple(_simplex(nm(f.generator), f.word, f.dim) for f in fs)
         for n, fs in K.face_table
     }
     return SSet.build(nm(K.basepoint), dims, faces)
 
 
 @functools.lru_cache(maxsize=None)
-def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, tuple[tuple[str, tuple[Simplex, Simplex]], ...]]:
-    """Smash product plus component pairs for the surviving generators."""
-    P, pair_table = product_with_pairs(A, B)
-    pairs = dict(pair_table)
-    # the wedge inside the product: pairs with exactly one basepoint core
-    # (a jointly nondegenerate pair of two basepoint cores only exists in
-    # dimension 0, and that one is the product basepoint itself)
-    kill = {
-        name for name, (sa, sb) in pairs.items()
-        if (sa.generator == A.basepoint) != (sb.generator == B.basepoint)
-    }
-    Q = collapse(P, kill)
-    mapping = {}
-    surviving = {}
-    for name, d in Q.gens:
-        if name == Q.basepoint:
-            mapping[name] = "*"
-            continue
-        sa, sb = pairs[name]
-        mapping[name] = f"({simplex_token(sa)}^{simplex_token(sb)})"
-        surviving[mapping[name]] = (sa, sb)
-    S = rename(Q, mapping)
-    return S, tuple(sorted(surviving.items()))
+def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
+    """Smash product plus component pairs for the surviving generators.
+
+    Built in one pass: the survivors are the product cells with no
+    basepoint core, named "(x^y)"; a face whose joint normal form has a
+    basepoint core lands on the basepoint "*".
+    """
+    return _pair_complex(
+        A, B, "*", "^", lambda x, y: _smash_class(A, B, x, y),
+        lambda a, b: a != A.basepoint and b != B.basepoint)
 
 
 def smash(A: SSet, B: SSet) -> SSet:
     return smash_with_pairs(A, B)[0]
 
 
+def _smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
+    word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
+    if cx.generator == A.basepoint or cy.generator == B.basepoint:
+        return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
+    return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
+
+
 def smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
     """Image of the product simplex (x, y) in smash(A, B); x, y of equal dim."""
     if x.dim != y.dim:
         raise DomainError(f"component dimensions differ: {x.dim} vs {y.dim}")
-    S = smash(A, B)
-    word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
-    if cx.generator == A.basepoint or cy.generator == B.basepoint:
-        return S.basepoint_simplex(x.dim)
-    return Simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
+    return _smash_class(A, B, x, y)
 
 
 def suspension(K: SSet) -> SSet:
@@ -507,6 +541,7 @@ def is_isomorphic(A: SSet, B: SSet) -> tuple[bool, dict[str, str] | None]:
 
     Backtracking over generators in dimension order; faces of each
     candidate must match the partial map already built.  Deterministic.
+    Raises CapExceeded past ISO_NODE_BUDGET candidate checks.
     """
     if A.n_generators > ISO_GENERATOR_CAP or B.n_generators > ISO_GENERATOR_CAP:
         raise CapExceeded(f"isomorphism search capped at {ISO_GENERATOR_CAP} generators")
@@ -533,14 +568,20 @@ def is_isomorphic(A: SSet, B: SSet) -> tuple[bool, dict[str, str] | None]:
         return True
 
     used: set[str] = {B.basepoint}
+    nodes = 0
 
     def search(k: int) -> bool:
+        nonlocal nodes
         if k == len(order):
             return True
         a = order[k]
         for b in dims_b[A.dim_of(a)]:
             if b in used or b == B.basepoint:
                 continue
+            nodes += 1
+            if nodes > ISO_NODE_BUDGET:
+                raise CapExceeded(
+                    f"isomorphism search: {nodes} candidate checks exceed the budget of {ISO_NODE_BUDGET}")
             if compatible(a, b):
                 mapping[a] = b
                 used.add(b)

@@ -194,3 +194,67 @@ def sign_product_signature(terms: list[tuple[int, int, list[int]]]) -> int:
             prod *= 0 if a > 0 else -2
         total += c * prod
     return total
+
+
+def reference_insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Normal form of s_i on a normal word, by the identity s_i s_j = s_{j+1} s_i (i <= j)."""
+    if not word:
+        return (i,)
+    j = word[0]
+    if i > j:
+        return (i,) + word
+    return (j + 1,) + reference_insert_degeneracy(word[1:], i)
+
+
+def reference_face(K, x, i: int):
+    """d_i x by peeling the outermost degeneracy and recursing.
+
+    Uses only the face table of K and the three face-degeneracy identities;
+    the implementation walks the word iteratively instead.
+    """
+    from ehpcalc.simplicial import Simplex
+
+    if not x.word:
+        return K.faces_of(x.generator)[i]
+    a = x.word[0]
+    inner = Simplex(x.generator, x.word[1:], x.dim - 1)  # x = s_a inner
+    if i in (a, a + 1):
+        return inner
+    if i < a:
+        f, outer = reference_face(K, inner, i), a - 1
+    else:
+        f, outer = reference_face(K, inner, i - 1), a
+    return Simplex(f.generator, reference_insert_degeneracy(f.word, outer), x.dim - 1)
+
+
+def reference_in_degeneracy_image(K, x, i: int) -> bool:
+    """x = s_i(y) for some y, decided as s_i d_i x == x."""
+    from ehpcalc.simplicial import Simplex
+
+    if x.dim == 0 or i >= x.dim:
+        return False
+    f = reference_face(K, x, i)
+    return Simplex(f.generator, reference_insert_degeneracy(f.word, i), x.dim) == x
+
+
+def reference_joint_normal_form(complexes, xs, dim: int):
+    """Strip shared degeneracies one at a time, smallest index first, by faces."""
+    strips: list[int] = []
+    cur = tuple(xs)
+    d = dim
+    while d > 0:
+        if cur:
+            hit = next((i for i in range(d)
+                        if all(reference_in_degeneracy_image(K, x, i) for K, x in zip(complexes, cur))),
+                       None)
+        else:
+            hit = 0
+        if hit is None:
+            break
+        cur = tuple(reference_face(K, x, hit) for K, x in zip(complexes, cur))
+        strips.append(hit)
+        d -= 1
+    word: tuple[int, ...] = ()
+    for i in reversed(strips):
+        word = reference_insert_degeneracy(word, i)
+    return word, cur

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ehpcalc.cli import main
+from ehpcalc.cli import MAX_NESTING, main
 
 
 def run_cli(argv, capsys):
@@ -74,10 +74,31 @@ class TestSpaceGrammar:
             assert code == 2
             assert err.startswith("parse error:")
 
+    def test_quotient_past_the_search_budget_is_domain_error(self, capsys):
+        code, out, err = run_cli(["homology", "--space", "Q(S2,3)"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: isomorphism search:")
+
     def test_level_zero_is_domain_error(self, capsys):
         code, _, err = run_cli(["james", "--space", "S1", "-n", "0"], capsys)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        for space in ["(" * 1000 + "S1" + ")" * 1000, "J(" * 1000 + "S1" + ",1)" * 1000]:
+            code, out, err = run_cli(["homology", "--space", space], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("parse error:") and "nested deeper" in err
+
+    def test_nesting_up_to_the_limit_parses(self, capsys):
+        depth = MAX_NESTING
+        code, out, _ = run_cli(["homology", "--space", "(" * depth + "S1" + ")" * depth], capsys)
+        assert code == 0
+        assert out == "{1: Z}\n"
+        code, _, _ = run_cli(["homology", "--space", "(" * (depth + 1) + "S1" + ")" * (depth + 1)], capsys)
+        assert code == 2
 
 
 class TestHopfCommand:
@@ -256,6 +277,11 @@ class TestTensorCommand:
     def test_bad_modulus_is_domain_error(self, capsys):
         code, _, _ = run_cli(["tensor", "--expr", "KM(2)/1"], capsys)
         assert code == 1
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, _, err = run_cli(["tensor", "--expr", "(" * 1000 + "W" + ")" * 1000], capsys)
+        assert code == 2
+        assert err.startswith("parse error:")
 
 
 class TestEhpCommands:

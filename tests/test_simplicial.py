@@ -6,7 +6,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from ehpcalc import simplicial
 from ehpcalc.errors import CapExceeded, DomainError
+from ehpcalc.james import james_quotient, james_truncation, smash_power
 from ehpcalc.simplicial import (
     SMap,
     SSet,
@@ -35,7 +37,12 @@ from ehpcalc.simplicial import (
     wedge,
 )
 
-from oracles import shuffle_count
+from oracles import (
+    reference_face,
+    reference_in_degeneracy_image,
+    reference_joint_normal_form,
+    shuffle_count,
+)
 
 S0, S1, S2 = build_sphere(0), build_sphere(1), build_sphere(2)
 TEST_COMPLEXES = [point(), S0, S1, S2, wedge(S1, S1), smash(S1, S1), product(S1, S1)]
@@ -225,6 +232,80 @@ class TestJointNormalForm:
         assert word == (2, 1, 0)
 
 
+REFERENCE_COMPLEXES = TEST_COMPLEXES + [smash(S1, S2), james_truncation(S1, 3)]
+
+
+def _ref_id(K: SSet) -> str:
+    return f"{K.n_generators}gens-dim{K.max_dim}"
+
+
+class TestNormalFormsAgainstReference:
+    """The word-arithmetic normal forms against the recursive face-based
+    references in oracles.py, on every simplex up to max_dim + 2."""
+
+    @pytest.mark.parametrize("K", REFERENCE_COMPLEXES, ids=_ref_id)
+    def test_face(self, K):
+        for x in all_simplices(K):
+            if x.dim == 0:
+                continue
+            for i in range(x.dim + 1):
+                assert face(K, x, i) == reference_face(K, x, i), (x, i)
+
+    @pytest.mark.parametrize("K", REFERENCE_COMPLEXES, ids=_ref_id)
+    def test_in_degeneracy_image(self, K):
+        for x in all_simplices(K):
+            for i in range(x.dim + 1):
+                assert in_degeneracy_image(K, x, i) == reference_in_degeneracy_image(K, x, i), (x, i)
+
+    @pytest.mark.parametrize("K", REFERENCE_COMPLEXES, ids=_ref_id)
+    def test_joint_normal_form_of_pairs(self, K):
+        for d in range(K.max_dim + 3):
+            xs = K.simplices(d)
+            for x in xs:
+                assert joint_normal_form((K,), (x,), d) == reference_joint_normal_form((K,), (x,), d)
+            # in the top dimension of the larger complexes, every 7th partner
+            partners = xs[::7] if d > K.max_dim + 1 and len(xs) > 50 else xs
+            for x, y in itertools.product(xs, partners):
+                got = joint_normal_form((K, K), (x, y), d)
+                assert got == reference_joint_normal_form((K, K), (x, y), d), (x, y)
+
+    def test_joint_normal_form_of_triples_across_complexes(self):
+        complexes = (S1, S2, product(S1, S1))
+        for d in range(4):
+            for xs in itertools.product(*(K.simplices(d) for K in complexes)):
+                assert joint_normal_form(complexes, xs, d) == reference_joint_normal_form(complexes, xs, d)
+
+    def test_empty_tuple(self):
+        for d in range(5):
+            assert joint_normal_form((), (), d) == reference_joint_normal_form((), (), d)
+
+
+class TestHashedOnce:
+    @staticmethod
+    def fresh():
+        # generator names no other test uses, so the first product is a cache miss
+        bp = Simplex("*", (), 0)
+        return SSet.build("*", {"*": 0, "hashed-u": 1, "hashed-v": 1},
+                          {"hashed-u": (bp, bp), "hashed-v": (bp, bp)})
+
+    def test_equal_complexes_share_hash_and_cache_entry(self):
+        A, B = self.fresh(), self.fresh()
+        assert A is not B and A == B and hash(A) == hash(B)
+        before = product_with_pairs.cache_info()
+        PA = product(A, A)
+        mid = product_with_pairs.cache_info()
+        PB = product(B, B)
+        after = product_with_pairs.cache_info()
+        assert (mid.misses, mid.currsize) == (before.misses + 1, before.currsize + 1)
+        assert (after.hits, after.misses, after.currsize) == (mid.hits + 1, mid.misses, mid.currsize)
+        assert PA is PB
+
+    def test_round_trip_keeps_hash(self):
+        for K in REFERENCE_COMPLEXES:
+            L = sset_loads(sset_dumps(K))
+            assert L == K and hash(L) == hash(K)
+
+
 class TestMaps:
     def test_identity_and_compose(self):
         ident = identity_map(S1)
@@ -262,6 +343,14 @@ class TestIsomorphism:
         K = SSet.build("*", big, {})
         with pytest.raises(CapExceeded):
             is_isomorphic(K, K)
+
+    def test_node_budget(self, monkeypatch):
+        # Q(S1,3) against the smash cube needs 523 candidate checks
+        Q, _ = james_quotient(S1, 3)
+        assert is_isomorphic(Q, smash_power(S1, 3))[0] is True
+        monkeypatch.setattr(simplicial, "ISO_NODE_BUDGET", 100)
+        with pytest.raises(CapExceeded, match=r"isomorphism search: 101 candidate checks exceed the budget of 100"):
+            is_isomorphic(Q, smash_power(S1, 3))
 
 
 class TestSerialization:
