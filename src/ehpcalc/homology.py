@@ -1,11 +1,21 @@
-"""Integer chain complexes, Smith normal form, reduced homology."""
+"""Integer chain complexes, Smith normal form, reduced homology.
+
+Reduced homology works on sparse boundary columns, one {row: coeff} dict per
+generator, and never builds a dense matrix. Each boundary is reduced by
+eliminating its +-1 pivots with sparse column operations (Kaczynski-Mrozek-
+Slusarek; Dumas-Heckenbach-Saunders-Welker), each pivot an invariant factor 1;
+whatever is left is passed densely to smith_normal_form, whose factors finish
+the list. smith_normal_form itself stays the certified API: it returns U and V
+with U*M*V diagonal.
+"""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .simplicial import SSet, face
+from .simplicial import SSet
 
 
 @dataclass(frozen=True)
@@ -222,6 +232,24 @@ def _recombine_torsion(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+# Sparse columns: columns[n][j] is the boundary of generator j of degree n
+# as {row: coeff} over the generators of degree n - 1, zeros left out.
+Columns = list[dict[int, int]]
+
+
+def _check_composites(columns: list[Columns]) -> None:
+    """Raise unless d_{n-1} d_n = 0, by sparse products over nonzero entries."""
+    for n in range(2, len(columns)):
+        below = columns[n - 1]
+        for col in columns[n]:
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                for s, w in below[r].items():
+                    acc[s] = acc.get(s, 0) + v * w
+            if any(acc.values()):
+                raise DomainError(f"boundary composite nonzero in degree {n}")
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Per-degree generator lists with integer boundary matrices."""
@@ -235,9 +263,11 @@ class ChainComplex:
         for n, b in enumerate(self.boundaries, start=1):
             if b.rows != len(self.generators[n - 1]) or b.cols != len(self.generators[n]):
                 raise DomainError(f"boundary shape mismatch in degree {n}")
-        for n in range(2, len(self.generators)):
-            if not (self.boundaries[n - 2] @ self.boundaries[n - 1]).is_zero():
-                raise DomainError(f"boundary composite nonzero in degree {n}")
+        columns = [[{}] * len(self.generators[0])] if self.generators else []
+        for b in self.boundaries:
+            dense = zip(*b.entries) if b.rows else [()] * b.cols
+            columns.append([{i: v for i, v in enumerate(col) if v} for col in dense])
+        _check_composites(columns)
 
     @property
     def top_degree(self) -> int:
@@ -252,33 +282,110 @@ class ChainComplex:
         return IntegerMatrix.zero(rows, cols)
 
 
-def normalized_chain_complex(K: SSet, reduced: bool = False) -> ChainComplex:
-    """Chains on the nondegenerate generators; the reduced variant drops the
-    basepoint generator in degree 0."""
-    top = K.max_dim
+def _boundary_columns(K: SSet, reduced: bool) -> tuple[tuple[tuple[str, ...], ...], list[Columns]]:
+    """Generator names per degree and the sparse boundary columns out of each
+    degree; the reduced variant drops the basepoint generator in degree 0."""
     gens: list[tuple[str, ...]] = []
-    for d in range(top + 1):
+    for d in range(K.max_dim + 1):
         names = list(K.generators(d))
         if reduced and d == 0:
             names.remove(K.basepoint)
         gens.append(tuple(names))
-    index = [{name: i for i, name in enumerate(names)} for names in gens]
+    columns: list[Columns] = [[{} for _ in gens[0]]]
+    for n in range(1, len(gens)):
+        index = {name: i for i, name in enumerate(gens[n - 1])}
+        cols = []
+        for name in gens[n]:
+            col: dict[int, int] = {}
+            for i, f in enumerate(K.faces_of(name)):
+                r = index.get(f.generator)
+                if f.is_degenerate or r is None:
+                    continue
+                v = col.get(r, 0) + (-1 if i & 1 else 1)
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+            cols.append(col)
+        columns.append(cols)
+    return tuple(gens), columns
+
+
+def normalized_chain_complex(K: SSet, reduced: bool = False) -> ChainComplex:
+    """Chains on the nondegenerate generators; the reduced variant drops the
+    basepoint generator in degree 0."""
+    gens, columns = _boundary_columns(K, reduced)
     boundaries = []
-    for n in range(1, top + 1):
-        rows, cols = len(gens[n - 1]), len(gens[n])
-        mat = [[0] * cols for _ in range(rows)]
-        for j, name in enumerate(gens[n]):
-            sigma = K.simplex(name)
-            for i in range(n + 1):
-                f = face(K, sigma, i)
-                if f.is_degenerate:
-                    continue
-                r = index[n - 1].get(f.generator)
-                if r is None:
-                    continue
-                mat[r][j] += (-1) ** i
-        boundaries.append(IntegerMatrix.from_rows(mat, cols))
-    return ChainComplex(tuple(gens), tuple(boundaries))
+    for n in range(1, len(gens)):
+        mat = [[0] * len(gens[n]) for _ in gens[n - 1]]
+        for j, col in enumerate(columns[n]):
+            for r, v in col.items():
+                mat[r][j] = v
+        boundaries.append(IntegerMatrix.from_rows(mat, len(gens[n])))
+    return ChainComplex(gens, tuple(boundaries))
+
+
+def _eliminate_unit_pivots(columns: Columns) -> tuple[int, Columns]:
+    """Eliminate +-1 pivots by sparse column operations.
+
+    Pivots are taken shortest column first and, within it, on the shortest
+    row (Markowitz-style), to keep fill-in low. A pivot's row is cleared from
+    every other column, after which its row and column split off as an
+    invariant factor 1. Returns the number of pivots and the nonempty columns
+    left, which hold no +-1 entry and carry the remaining invariant factors.
+    """
+    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows: dict[int, set[int]] = {}
+    for j, c in cols.items():
+        for r in c:
+            rows.setdefault(r, set()).add(j)
+    heap = [(len(c), j) for j, c in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, j = heapq.heappop(heap)
+        c = cols.get(j)
+        if c is None or len(c) != size:
+            continue  # dropped, or queued again at its new length
+        units_at = [r for r, v in c.items() if v == 1 or v == -1]
+        if not units_at:
+            continue  # requeued if a later column operation changes it
+        r = min(units_at, key=lambda r: len(rows[r]))
+        p = c.pop(r)
+        for k in rows.pop(r):
+            if k == j:
+                continue
+            ck = cols[k]
+            q = ck.pop(r) * p  # ck -= q * c clears row r, since p * p == 1
+            for s, v in c.items():
+                w = ck.get(s, 0) - q * v
+                if w:
+                    if s not in ck:
+                        rows[s].add(k)
+                    ck[s] = w
+                else:
+                    del ck[s]
+                    rows[s].discard(k)
+            if ck:
+                heapq.heappush(heap, (len(ck), k))
+            else:
+                del cols[k]
+        for s in c:
+            rows[s].discard(j)
+        del cols[j]
+        units += 1
+    return units, list(cols.values())
+
+
+def _invariant_factors(columns: Columns) -> list[int]:
+    """Invariant factors of the matrix with the given sparse columns."""
+    units, rest = _eliminate_unit_pivots(columns)
+    factors = [1] * units
+    if rest:
+        row_ids = sorted({r for c in rest for r in c})
+        dense = [[c.get(r, 0) for c in rest] for r in row_ids]
+        factors += smith_normal_form(IntegerMatrix.from_rows(dense, len(rest)))[0]
+    return factors
 
 
 def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
@@ -288,18 +395,18 @@ def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
 
 @lru_cache(maxsize=None)
 def _reduced_homology_items(K: SSet) -> tuple[tuple[int, HomologyGroup], ...]:
-    C = normalized_chain_complex(K, reduced=True)
-    ranks: dict[int, int] = {}
-    torsion: dict[int, tuple[int, ...]] = {}
-    for n in range(C.top_degree + 2):
-        factors, _, _ = smith_normal_form(C.boundary(n))
+    gens, columns = _boundary_columns(K, reduced=True)
+    _check_composites(columns)
+    ranks = [0] * (len(gens) + 1)
+    torsion: list[tuple[int, ...]] = [()] * len(gens)
+    for n in range(1, len(gens)):
+        factors = _invariant_factors(columns[n])
         ranks[n] = len(factors)
         # factors of the boundary out of degree n give torsion one degree down
         torsion[n - 1] = tuple(d for d in factors if d > 1)
     out = []
-    for n in range(C.top_degree + 1):
-        free = len(C.generators[n]) - ranks[n] - ranks.get(n + 1, 0)
-        group = HomologyGroup(free, torsion.get(n, ()))
+    for n, names in enumerate(gens):
+        group = HomologyGroup(len(names) - ranks[n] - ranks[n + 1], torsion[n])
         if not group.is_trivial:
             out.append((n, group))
     return tuple(out)
@@ -307,8 +414,7 @@ def _reduced_homology_items(K: SSet) -> tuple[tuple[int, HomologyGroup], ...]:
 
 def euler_characteristic(K: SSet) -> int:
     """Reduced Euler characteristic, from the generator census."""
-    C = normalized_chain_complex(K, reduced=True)
-    return sum((-1) ** n * len(names) for n, names in enumerate(C.generators))
+    return sum((-1) ** d for name, d in K.gens if name != K.basepoint)
 
 
 def homology_to_doc(groups: dict[int, HomologyGroup]) -> list[dict]:

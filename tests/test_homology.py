@@ -1,6 +1,7 @@
 """Smith normal form and reduced integral homology."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,15 +14,27 @@ from ehpcalc.homology import (
     IntegerMatrix,
     euler_characteristic,
     homology_to_doc,
+    _invariant_factors,
     normalized_chain_complex,
     reduced_homology,
     smith_normal_form,
 )
-from ehpcalc.simplicial import build_sphere, point, product, smash, suspension, wedge
+from ehpcalc.james import smash_power
+from ehpcalc.simplicial import SSet, Simplex, build_sphere, point, product, smash, suspension, wedge
 
 from oracles import gcd_of_minors, homology_ranks_from_chains, integer_det, rational_rank
 
 S0, S1, S2, S3 = (build_sphere(n) for n in range(4))
+
+# Moore space M(Z/2, 1): a loop a with a 2-cell f glued along a twice
+MOORE = SSet.build(
+    "*",
+    {"*": 0, "a": 1, "f": 2},
+    {
+        "a": (Simplex("*", (), 0), Simplex("*", (), 0)),
+        "f": (Simplex("a", (), 1), Simplex("*", (0,), 1), Simplex("a", (), 1)),
+    },
+)
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -96,6 +109,70 @@ class TestSmithNormalForm:
         assert smith_normal_form(P @ M @ Q)[0] == smith_normal_form(M)[0]
 
 
+SPARSE_ENTRIES = (0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6)
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=9))
+    cols = draw(st.integers(min_value=0, max_value=9))
+    cell = st.sampled_from(SPARSE_ENTRIES)
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)], cols
+
+
+class TestUnitPivotElimination:
+    """The sparse path of reduced_homology against dense Smith and the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_factors_match_dense_smith(self, drawn):
+        mat, cols = drawn
+        columns = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(cols)]
+        factors = _invariant_factors(columns)
+        assert factors == smith_normal_form(IntegerMatrix.from_rows(mat, cols))[0]
+        assert len(factors) == rational_rank(mat)
+        # d_1 ... d_k is the gcd of the k x k minors; skip k with too many minors
+        prod = 1
+        for k, d in enumerate(factors, start=1):
+            prod *= d
+            if math.comb(len(mat), k) * math.comb(cols, k) <= 2000:
+                assert prod == gcd_of_minors(mat, k)
+
+    def test_remainder_is_reduced_densely(self):
+        # no +-1 entry at all, so everything goes through dense Smith
+        assert _invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 2}]) == [2, 10]
+        assert _invariant_factors([{0: 2}, {}, {1: 3}]) == [1, 6]
+        assert _invariant_factors([]) == []
+
+    def test_large_smash_power(self):
+        assert reduced_homology(smash_power(S1, 6)) == {6: HomologyGroup(1)}
+
+
+class TestTorsion:
+    def test_moore_space(self):
+        assert reduced_homology(MOORE) == {1: HomologyGroup(0, (2,))}
+
+    def test_smash_of_moore_spaces(self):
+        assert reduced_homology(smash(MOORE, MOORE)) == {
+            2: HomologyGroup(0, (2,)),
+            3: HomologyGroup(0, (2,)),
+        }
+
+    def test_product_with_circle(self):
+        assert reduced_homology(product(MOORE, S1)) == {
+            1: HomologyGroup(1, (2,)),
+            2: HomologyGroup(0, (2,)),
+        }
+
+    def test_wedge_of_moore_spaces(self):
+        assert reduced_homology(wedge(MOORE, MOORE)) == {1: HomologyGroup(0, (2, 2))}
+
+    def test_json_doc(self):
+        assert homology_to_doc(reduced_homology(MOORE)) == [
+            {"degree": 1, "free_rank": 0, "torsion": [2]}
+        ]
+
+
 class TestHomologyGroup:
     def test_divisibility_enforced(self):
         with pytest.raises(DomainError):
@@ -135,6 +212,19 @@ class TestChainComplex:
         bottom = IntegerMatrix.from_rows([[1, -1]])
         with pytest.raises(DomainError):
             ChainComplex((("a",), ("b", "c"), ("d",)), (bottom, top))
+
+    def test_composite_checked_beyond_first_degree(self):
+        d1 = IntegerMatrix.zero(1, 1)
+        d2 = IntegerMatrix.from_rows([[1]])
+        d3 = IntegerMatrix.from_rows([[2]])
+        with pytest.raises(DomainError, match="nonzero in degree 3"):
+            ChainComplex((("a",), ("b",), ("c",), ("d",)), (d1, d2, d3))
+
+    def test_moore_space_boundary(self):
+        # d_2 f = a - s_0(*) + a, and the degenerate face drops out
+        C = normalized_chain_complex(MOORE, reduced=True)
+        assert C.generators == ((), ("a",), ("f",))
+        assert C.boundaries == (IntegerMatrix.zero(0, 1), IntegerMatrix.from_rows([[2]]))
 
     def test_reduced_drops_basepoint(self):
         C = normalized_chain_complex(S0, reduced=True)
