@@ -1,61 +1,345 @@
 """Symmetric bilinear form arithmetic over concrete fields of characteristic
 not 2: square classes, the Grothendieck-Witt ring, Witt quotients, and powers
-of the fundamental ideal."""
+of the fundamental ideal.
+
+Each field kind has one home: a Field resolves its kind object once, from the
+table _KINDS, and that object owns the square classes and their product,
+normalisation, the signature, the Witt class, the ideal powers and the
+per-kind parts of kmw.py. A GWElement stores one count per square class
+(Milnor-Husemoller), so no work or memory grows with a coefficient.
+"""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import gcd, isqrt, prod
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError, NormalFormUnavailable
 
 QUADRATICALLY_CLOSED = "quadratically-closed"
 REAL_CLOSED = "real-closed"
 FINITE_ODD = "finite-odd"
 RATIONALS = "rationals"
 
+# Trial division runs up to sqrt(n): about a million steps at this bound.
+TRIAL_DIVISION_BOUND = 10**12
+# A discrete-log table holds p - 1 entries.
+DLOG_TABLE_CAP = 10**6
+
 
 def _prime_power(q: int) -> tuple[int, int] | None:
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            return (p, k) if q == 1 else None
-        p += 1
-    return (q, 1)
+    """(p, k) with q = p^k, or None when q has two prime factors."""
+    if q > TRIAL_DIVISION_BOUND:
+        raise DomainError(f"field size {q} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def _squarefree(n: int) -> int:
+    if abs(n) > TRIAL_DIVISION_BOUND:
+        raise DomainError(f"square class of {n}: |n| exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
+    out, m, d = 1, abs(n), 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            m //= d * d
+        if m % d == 0:
+            m //= d
+            out *= d
+        d += 1
+    return (1 if n > 0 else -1) * out * m
+
+
+@lru_cache(maxsize=None)
+def _dlog_table(p: int) -> dict:
+    if p > DLOG_TABLE_CAP:
+        raise CapExceeded(f"discrete-log table: p = {p} exceeds the cap of {DLOG_TABLE_CAP}")
+    # powers of the smallest generator of the units mod p
+    for g in range(2, p):
+        table, acc = {}, 1
+        for e in range(p - 1):
+            table[acc] = e
+            acc = acc * g % p
+        if len(table) == p - 1:
+            return table
+    raise DomainError("no multiplicative generator found")
+
+
+def _common(a: int, b: int) -> int:
+    """The signed count that a and b share when they have one sign, else 0."""
+    return min(a, b, key=abs) if a * b > 0 else 0
+
+
+class _Kind:
+    """What the four kinds share; each subclass is the one home of a kind.
+
+    A square class is held by its canonical representative: 1 over a
+    quadratically closed field, +-1 over a real closed one, 1 or "g" over a
+    finite one, a squarefree integer over Q. normalize may rewrite the dict
+    {representative: count} that it is given.
+    """
+
+    p = 0  # the characteristic
+    formally_real = False
+
+    def __init__(self, q):
+        if q is not None:
+            raise DomainError("only finite fields carry a size")
+        self.minus = self.rep(-1)
+
+    def mul(self, r, s):
+        # r and s are squarefree integers, so dividing out their gcd leaves
+        # the squarefree part of r * s
+        g = gcd(r, s)
+        return (r // g) * (s // g)
+
+    def normalize(self, net: dict) -> dict:
+        # over Qbar and R the counts per class are already canonical
+        return net
+
+    def signature(self, counts):
+        if not self.formally_real:
+            return "undefined"
+        return sum(n if r > 0 else -n for r, n in counts)
+
+    def witt_is_zero(self, data) -> bool:
+        # zero rank parity, zero signature, or no classes left over Q
+        return not any(data)
+
+    def ideal_contains(self, x, n: int) -> bool:
+        """Membership in I^n for n >= 2."""
+        return witt_class(x).is_zero
+
+    def letter(self, value: Fraction):
+        """Canonical bracket entry of a rational unit."""
+        if value == 0:
+            raise DomainError("bracket entry is not a unit")
+        return value
+
+    def check_exact(self, degree, terms) -> None:
+        """Raise NormalFormUnavailable where a symbol has no exact normal form."""
+
+    def parts_match(self, n: int, milnor, witt) -> bool:
+        """Whether the Milnor and Witt parts of degree n >= 1 agree mod 2."""
+        return witt.is_zero
+
+
+class _QuadraticallyClosed(_Kind):
+    """Every unit is a square: GW is Z by the rank, W is Z/2."""
+
+    label = "Qbar"
+
+    def rep(self, a):
+        return 1
+
+    def witt_data(self, x) -> tuple:
+        return (gw_invariants(x)["rank"] % 2,)
+
+    def witt_str(self, w) -> str:
+        return "<1>" if w.data[0] else "0"
+
+    def ideal_description(self, n: int) -> str:
+        return "0"
+
+    def check_exact(self, degree, terms) -> None:
+        if degree is not None and degree >= 2:
+            raise NormalFormUnavailable("only degree 1 is exact over this field")
+        # the torsion of the unit group is not finitely presented here
+        if degree == 1 and any(a < 0 for _c, (_s, letters) in terms for a in letters):
+            raise NormalFormUnavailable("negative entries have no exact form here")
+
+    def milnor_part(self, n: int, terms):
+        # degree 1: the positive units form a free group
+        return prod((Fraction(w[0]) ** c for c, (s, w) in terms if s == 0), start=Fraction(1))
+
+
+class _RealClosed(_Kind):
+    """Units are squares up to sign: GW is Z^2 by rank and signature, W is Z."""
+
+    label = "R"
+    formally_real = True
+
+    def rep(self, a):
+        return 1 if a > 0 else -1
+
+    def witt_data(self, x) -> tuple:
+        return (gw_invariants(x)["signature"],)
+
+    def witt_str(self, w) -> str:
+        return str(w.data[0])
+
+    def ideal_contains(self, x, n: int) -> bool:
+        return witt_class(x).data[0] % (2 ** n) == 0
+
+    def ideal_description(self, n: int) -> str:
+        return f"{2 ** n}Z under the signature isomorphism"
+
+    def check_exact(self, degree, terms) -> None:
+        # only the sign fragment is exact in positive degrees
+        if degree is not None and degree >= 1 and any(
+                a != -1 for _c, (_s, letters) in terms for a in letters):
+            raise NormalFormUnavailable("entries outside {1, -1} have no exact form here")
+
+    def milnor_part(self, n: int, terms):
+        return sum(coeff for coeff, (s, _l) in terms if s == 0) % 2
+
+    def parts_match(self, n: int, milnor, witt) -> bool:
+        sig = witt.data[0]
+        return sig % (1 << n) == 0 and (sig >> n) % 2 == milnor % 2
+
+
+class _FiniteOdd(_Kind):
+    """F_q with q = p^k odd: the classes 1 and the non-residue g; GW is
+    Z + Z/2 by rank and discriminant, W has four elements."""
+
+    def __init__(self, q):
+        if q is None or q < 3 or q % 2 == 0:
+            raise DomainError("finite field size must be an odd prime power >= 3")
+        pk = _prime_power(q)
+        if pk is None:
+            raise DomainError(f"{q} is not a prime power")
+        self.q, self.p = q, pk[0]
+        self.label = f"F{q}"
+        self.minus = self.rep(-1)
+
+    def rep(self, a):
+        if a % self.p == 0:
+            raise DomainError(f"{a} is zero in characteristic {self.p}")
+        # Euler criterion in the prime subfield decides squareness in the
+        # extension as well
+        return 1 if pow(a, (self.q - 1) // 2, self.p) == 1 else "g"
+
+    def mul(self, r, s):
+        return "g" if (r == "g") != (s == "g") else 1
+
+    def normalize(self, net: dict) -> dict:
+        rank = sum(net.values())
+        return {1: rank - 1, "g": 1} if net.get("g", 0) % 2 else {1: rank}
+
+    def witt_data(self, x) -> tuple:
+        inv = gw_invariants(x)
+        parity = inv["rank"] % 2
+        disc = inv["disc"].rep
+        if (inv["rank"] - parity) // 2 % 2:
+            disc = self.mul(disc, self.minus)
+        return (parity, disc)
+
+    def witt_str(self, w) -> str:
+        parity, disc = w.data
+        if parity == 1:
+            return f"<{disc}>"
+        if disc == 1:
+            return "0"
+        # rank-2 representative; its honest discriminant undoes the
+        # one-hyperbolic-plane twist
+        return "<1>+<1>" if self.mul(disc, self.minus) == 1 else "<1>+<g>"
+
+    def witt_is_zero(self, data) -> bool:
+        return data == (0, 1)
+
+    def ideal_description(self, n: int) -> str:
+        return "order 2, the even-rank classes" if n == 1 else "0"
+
+    def letter(self, value: Fraction):
+        num, den = value.numerator % self.p, value.denominator % self.p
+        if num == 0 or den == 0:
+            raise DomainError("bracket entry is not a unit")
+        return num * pow(den, -1, self.p) % self.p
+
+    def milnor_part(self, n: int, terms):
+        if n >= 2:
+            return 0
+        table = _dlog_table(self.p)
+        stretch = (self.q - 1) // (self.p - 1)
+        total = sum(coeff * table[letters[0]] * stretch for coeff, (s, letters) in terms if s == 0)
+        return total % (self.q - 1)
+
+    def parts_match(self, n: int, milnor, witt) -> bool:
+        if n >= 2:
+            return milnor == 0 and witt.is_zero
+        return (milnor % 2 == 1) == (not witt.is_zero)
+
+
+class _Rationals(_Kind):
+    """Squarefree integer classes. Normal forms are sound but not canonical,
+    so equality is decided only where rank, discriminant and signature tell
+    two forms apart."""
+
+    label = "Q"
+    formally_real = True
+
+    def rep(self, a):
+        return _squarefree(a)
+
+    def normalize(self, net: dict) -> dict:
+        # rewrite hyperbolic pairs <a> + <-a> of one sign as <1> + <-1>
+        planes = 0
+        for r in [r for r in net if r not in (1, -1)]:
+            m = _common(net[r], net.get(-r, 0))
+            if m:
+                net[r] -= m
+                net[-r] -= m
+                planes += m
+        net[1] = net.get(1, 0) + planes
+        net[-1] = net.get(-1, 0) + planes
+        return net
+
+    def witt_data(self, x) -> tuple:
+        # drop the hyperbolic planes <1> + <-1> of the normal form and keep
+        # the rest as a representative
+        net = {c.rep: n for c, n in x.counts}
+        m = _common(net.get(1, 0), net.get(-1, 0))
+        return _element(x.field, [*net.items(), (1, -m), (-1, -m)]).counts
+
+    def witt_str(self, w) -> str:
+        return f"[{GWElement(w.field, w.data)}]"
+
+    def ideal_contains(self, x, n: int) -> bool:
+        raise DomainError("membership beyond the first power is unsupported here")
+
+    def ideal_description(self, n: int) -> str:
+        return "even-rank classes" if n == 1 else "generated by n-fold Pfister classes"
+
+    def check_exact(self, degree, terms) -> None:
+        raise NormalFormUnavailable("no exact normal form over this field")
+
+
+# the one place a kind name is read
+_KINDS = {
+    QUADRATICALLY_CLOSED: _QuadraticallyClosed,
+    REAL_CLOSED: _RealClosed,
+    FINITE_ODD: _FiniteOdd,
+    RATIONALS: _Rationals,
+}
 
 
 @dataclass(frozen=True)
 class Field:
+    """A field of one of the four kinds; q is the size of a finite field and
+    ops the kind object, resolved once from _KINDS."""
+
     kind: str
     q: int | None = None
+    ops: _Kind = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (QUADRATICALLY_CLOSED, REAL_CLOSED, FINITE_ODD, RATIONALS):
+        make = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if make is None:
             raise DomainError(f"unknown field kind {self.kind!r}")
-        if self.kind == FINITE_ODD:
-            if self.q is None or self.q < 3 or self.q % 2 == 0:
-                raise DomainError("finite field size must be an odd prime power >= 3")
-            if _prime_power(self.q) is None:
-                raise DomainError(f"{self.q} is not a prime power")
-        elif self.q is not None:
-            raise DomainError("only finite fields carry a size")
+        object.__setattr__(self, "ops", make(self.q))
 
     @property
     def characteristic(self) -> int:
-        if self.kind == FINITE_ODD:
-            return _prime_power(self.q)[0]
-        return 0
+        return self.ops.p
 
     def __str__(self) -> str:
-        if self.kind == FINITE_ODD:
-            return f"F{self.q}"
-        return {QUADRATICALLY_CLOSED: "Qbar", REAL_CLOSED: "R", RATIONALS: "Q"}[self.kind]
+        return self.ops.label
 
 
 def quadratically_closed() -> Field:
@@ -76,28 +360,12 @@ def rationals() -> Field:
 
 def non_residue(field: Field) -> int:
     """Smallest positive non-residue, for finite fields of prime order."""
-    if field.kind != FINITE_ODD:
+    p = field.characteristic
+    if p == 0:
         raise DomainError("non-residue lookup needs a finite field")
-    p, k = _prime_power(field.q)
-    if k != 1:
+    if field.q != p:
         raise DomainError("no prime-subfield non-residue in a proper extension")
     return next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
-
-
-def _squarefree(n: int) -> int:
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return sign * out * n
 
 
 @dataclass(frozen=True)
@@ -110,15 +378,7 @@ class SquareClass:
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.field != other.field:
             raise DomainError("square classes live over different fields")
-        kind = self.field.kind
-        if kind == QUADRATICALLY_CLOSED:
-            return self
-        if kind == REAL_CLOSED:
-            return SquareClass(self.field, self.rep * other.rep)
-        if kind == FINITE_ODD:
-            flips = (self.rep == "g") ^ (other.rep == "g")
-            return SquareClass(self.field, "g" if flips else 1)
-        return SquareClass(self.field, _squarefree(self.rep * other.rep))
+        return SquareClass(self.field, self.field.ops.mul(self.rep, other.rep))
 
     def __str__(self) -> str:
         return str(self.rep)
@@ -128,7 +388,7 @@ def square_class(field: Field, a) -> SquareClass:
     """Canonical square class of a nonzero unit; finite fields accept the
     symbol "g" for the fixed non-residue."""
     if a == "g":
-        if field.kind != FINITE_ODD:
+        if field.characteristic == 0:
             raise DomainError("the symbol g is reserved for finite fields")
         return SquareClass(field, "g")
     if isinstance(a, Fraction):
@@ -137,133 +397,46 @@ def square_class(field: Field, a) -> SquareClass:
         a = a.numerator * a.denominator
     if not isinstance(a, int) or a == 0:
         raise DomainError(f"not a unit: {a!r}")
-    kind = field.kind
-    if kind == QUADRATICALLY_CLOSED:
-        return SquareClass(field, 1)
-    if kind == REAL_CLOSED:
-        return SquareClass(field, 1 if a > 0 else -1)
-    if kind == RATIONALS:
-        return SquareClass(field, _squarefree(a))
-    p, _ = _prime_power(field.q)
-    if a % p == 0:
-        raise DomainError(f"{a} is zero in characteristic {p}")
-    # Euler criterion in the prime subfield decides squareness in the
-    # extension as well
-    e = (field.q - 1) // 2
-    return SquareClass(field, 1 if pow(a, e, p) == 1 else "g")
+    return SquareClass(field, field.ops.rep(a))
 
 
-def _class_key(c: SquareClass):
-    return (1, 0) if c.rep == "g" else (0, c.rep)
+def _class_key(rep):
+    # <1> first, then <-1>, then by magnitude, the non-residue last
+    if rep == "g":
+        return (4, 0)
+    return ({1: 0, -1: 1}.get(rep, 2 if rep > 0 else 3), abs(rep))
 
 
 @dataclass(frozen=True)
 class GWElement:
-    """Virtual diagonal form in field-specific normal form."""
+    """Virtual diagonal form in the field kind's normal form: (square class,
+    nonzero count) pairs in display order."""
 
     field: Field
-    pos: tuple[SquareClass, ...]
-    neg: tuple[SquareClass, ...]
+    counts: tuple[tuple[SquareClass, int], ...]
 
     def __str__(self) -> str:
-        def display_key(rep):
-            # <1> first, then <-1>, then by magnitude, the non-residue last
-            if rep == "g":
-                return (4, 0)
-            if rep == 1:
-                return (0, 0)
-            if rep == -1:
-                return (1, 0)
-            return (2 if rep > 0 else 3, abs(rep))
-
-        def chunk(classes, sign):
-            counts: dict = {}
-            for c in classes:
-                counts[c.rep] = counts.get(c.rep, 0) + 1
-            parts = []
-            for rep in sorted(counts, key=display_key):
-                n = counts[rep]
-                coeff = "" if n == 1 else str(n)
-                parts.append(f"{sign}{coeff}<{rep}>")
-            return parts
-
-        parts = chunk(self.pos, "") + chunk(self.neg, "-")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        out = ""
+        for c, n in sorted(self.counts, key=lambda cn: cn[1] < 0):
+            sign = (" + " if n > 0 else " - ") if out else ("" if n > 0 else "-")
+            out += f"{sign}{'' if abs(n) == 1 else abs(n)}<{c.rep}>"
+        return out or "0"
 
 
-def _counts(classes) -> dict:
-    out: dict = {}
-    for c in classes:
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
-def _from_counts(field: Field, net: dict) -> GWElement:
-    pos, neg = [], []
-    for c in sorted(net, key=_class_key):
-        n = net[c]
-        (pos if n > 0 else neg).extend([c] * abs(n))
-    return GWElement(field, tuple(pos), tuple(neg))
-
-
-def _normalize(field: Field, pos, neg) -> GWElement:
-    kind = field.kind
-    one = square_class(field, 1)
-    if kind == QUADRATICALLY_CLOSED:
-        rank = len(pos) - len(neg)
-        return _from_counts(field, {one: rank})
-    if kind == REAL_CLOSED:
-        minus = square_class(field, -1)
-        sig = sum(c.rep for c in pos) - sum(c.rep for c in neg)
-        rank = len(pos) - len(neg)
-        return _from_counts(field, {one: (rank + sig) // 2, minus: (rank - sig) // 2})
-    if kind == FINITE_ODD:
-        g = SquareClass(field, "g")
-        rank = len(pos) - len(neg)
-        disc_is_g = (sum(1 for c in pos if c.rep == "g") + sum(1 for c in neg if c.rep == "g")) % 2
-        if disc_is_g:
-            return _from_counts(field, {one: rank - 1, g: 1})
-        return _from_counts(field, {one: rank})
-    # rationals: cancel identical classes, then rewrite hyperbolic pairs
-    # <a> + <-a> as <1> + <-1>
+def _element(field: Field, pairs) -> GWElement:
+    """Normal form of the sum of n<rep> over the (rep, n) pairs."""
     net: dict = {}
-    for c in pos:
-        net[c] = net.get(c, 0) + 1
-    for c in neg:
-        net[c] = net.get(c, 0) - 1
-    minus = square_class(field, -1)
-    one_minus_one: dict = {one: 0, minus: 0}
-    for c in sorted(net, key=_class_key):
-        if c.rep in (1, -1):
-            continue
-        opp = c * minus
-        while net.get(c, 0) > 0 and net.get(opp, 0) > 0:
-            net[c] -= 1
-            net[opp] -= 1
-            one_minus_one[one] += 1
-            one_minus_one[minus] += 1
-        while net.get(c, 0) < 0 and net.get(opp, 0) < 0:
-            net[c] += 1
-            net[opp] += 1
-            one_minus_one[one] -= 1
-            one_minus_one[minus] -= 1
-    net[one] = net.get(one, 0) + one_minus_one[one]
-    net[minus] = net.get(minus, 0) + one_minus_one[minus]
-    return _from_counts(field, {c: n for c, n in net.items() if n})
+    for rep, n in pairs:
+        net[rep] = net.get(rep, 0) + n
+    net = field.ops.normalize(net)
+    return GWElement(field, tuple(
+        (SquareClass(field, rep), net[rep]) for rep in sorted(net, key=_class_key) if net[rep]
+    ))
 
 
 def gw_make(field: Field, terms) -> GWElement:
     """Element from (integer coefficient, unit) terms, e.g. h = [(1, 1), (1, -1)]."""
-    pos, neg = [], []
-    for coeff, a in terms:
-        c = square_class(field, a)
-        (pos if coeff > 0 else neg).extend([c] * abs(coeff))
-    return _normalize(field, pos, neg)
+    return _element(field, ((square_class(field, a).rep, coeff) for coeff, a in terms))
 
 
 def gw_zero(field: Field) -> GWElement:
@@ -291,11 +464,11 @@ def _same_field(x: GWElement, y: GWElement):
 
 def gw_add(x: GWElement, y: GWElement) -> GWElement:
     _same_field(x, y)
-    return _normalize(x.field, x.pos + y.pos, x.neg + y.neg)
+    return _element(x.field, ((c.rep, n) for c, n in x.counts + y.counts))
 
 
 def gw_neg(x: GWElement) -> GWElement:
-    return _normalize(x.field, x.neg, x.pos)
+    return gw_scale(-1, x)
 
 
 def gw_sub(x: GWElement, y: GWElement) -> GWElement:
@@ -304,45 +477,34 @@ def gw_sub(x: GWElement, y: GWElement) -> GWElement:
 
 def gw_mul(x: GWElement, y: GWElement) -> GWElement:
     _same_field(x, y)
-    pos = [a * b for a, b in itertools.product(x.pos, y.pos)]
-    pos += [a * b for a, b in itertools.product(x.neg, y.neg)]
-    neg = [a * b for a, b in itertools.product(x.pos, y.neg)]
-    neg += [a * b for a, b in itertools.product(x.neg, y.pos)]
-    return _normalize(x.field, pos, neg)
+    mul = x.field.ops.mul
+    return _element(x.field, ((mul(a.rep, b.rep), m * n) for a, m in x.counts for b, n in y.counts))
 
 
 def gw_scale(n: int, x: GWElement) -> GWElement:
-    out = gw_zero(x.field)
-    for _ in range(abs(n)):
-        out = gw_add(out, x)
-    return out if n >= 0 else gw_neg(out)
+    return _element(x.field, ((c.rep, n * k) for c, k in x.counts))
 
 
 def gw_invariants(x: GWElement) -> dict:
     """Rank, discriminant class, and (where ordered) signature."""
-    disc = square_class(x.field, 1)
-    for c in x.pos + x.neg:
-        disc = disc * c
-    if x.field.kind == REAL_CLOSED:
-        signature = sum(c.rep for c in x.pos) - sum(c.rep for c in x.neg)
-    elif x.field.kind == RATIONALS:
-        signature = sum(1 if c.rep > 0 else -1 for c in x.pos)
-        signature -= sum(1 if c.rep > 0 else -1 for c in x.neg)
-    else:
-        signature = "undefined"
-    return {"rank": len(x.pos) - len(x.neg), "disc": disc, "signature": signature}
+    ops = x.field.ops
+    disc = reduce(ops.mul, (c.rep for c, n in x.counts if n % 2), 1)
+    return {
+        "rank": sum(n for _c, n in x.counts),
+        "disc": SquareClass(x.field, disc),
+        "signature": ops.signature((c.rep, n) for c, n in x.counts),
+    }
 
 
 def gw_equal(x: GWElement, y: GWElement):
     """Equality decision; over the rationals the answer may be "undecided"."""
     _same_field(x, y)
-    if x.field.kind != RATIONALS:
-        return (x.pos, x.neg) == (y.pos, y.neg)
-    if (x.pos, x.neg) == (y.pos, y.neg):
+    if x.counts == y.counts:
         return True
     ix, iy = gw_invariants(x), gw_invariants(y)
     if (ix["rank"], ix["disc"], ix["signature"]) != (iy["rank"], iy["disc"], iy["signature"]):
         return False
+    # only over Q do equal invariants leave distinct normal forms
     return "undecided"
 
 
@@ -354,67 +516,21 @@ class WittClass:
     data: tuple
 
     def __str__(self) -> str:
-        kind = self.field.kind
-        if kind == QUADRATICALLY_CLOSED:
-            return "<1>" if self.data[0] else "0"
-        if kind == REAL_CLOSED:
-            return str(self.data[0])
-        if kind == FINITE_ODD:
-            parity, disc = self.data
-            if parity == 1:
-                return f"<{disc}>"
-            if disc == 1:
-                return "0"
-            # rank-2 representative; its honest discriminant undoes the
-            # one-hyperbolic-plane twist
-            actual = SquareClass(self.field, disc) * square_class(self.field, -1)
-            return "<1>+<1>" if actual.rep == 1 else "<1>+<g>"
-        inner = str(GWElement(self.field, *self.data))
-        return f"[{inner}]"
+        return self.field.ops.witt_str(self)
 
     @property
     def is_zero(self) -> bool:
-        kind = self.field.kind
-        if kind == QUADRATICALLY_CLOSED:
-            return self.data[0] == 0
-        if kind == REAL_CLOSED:
-            return self.data[0] == 0
-        if kind == FINITE_ODD:
-            return self.data == (0, 1)
-        return self.data == ((), ())
+        return self.field.ops.witt_is_zero(self.data)
 
 
 def witt_class(x: GWElement) -> WittClass:
-    kind = x.field.kind
-    inv = gw_invariants(x)
-    if kind == QUADRATICALLY_CLOSED:
-        return WittClass(x.field, (inv["rank"] % 2,))
-    if kind == REAL_CLOSED:
-        return WittClass(x.field, (inv["signature"],))
-    if kind == FINITE_ODD:
-        parity = inv["rank"] % 2
-        k = (inv["rank"] - parity) // 2
-        disc = inv["disc"]
-        if k % 2:
-            disc = disc * square_class(x.field, -1)
-        return WittClass(x.field, (parity, disc.rep))
-    # rationals: subtract hyperbolic planes sitting inside the reduced
-    # representative, keep the rest as a representative
-    red = x
-    h = hyperbolic(x.field)
-    one = square_class(x.field, 1)
-    minus = square_class(x.field, -1)
-    while one in red.pos and minus in red.pos:
-        red = gw_sub(red, h)
-    while one in red.neg and minus in red.neg:
-        red = gw_add(red, h)
-    return WittClass(x.field, (red.pos, red.neg))
+    return WittClass(x.field, x.field.ops.witt_data(x))
 
 
 def witt_ring_table(field: Field) -> dict:
     """Addition and multiplication tables of the four-element Witt ring,
     found by enumerating small diagonal forms."""
-    if field.kind != FINITE_ODD:
+    if field.characteristic == 0:
         raise DomainError("tables are enumerated for finite fields only")
     seen: dict[tuple, GWElement] = {}
     for rank in range(3):
@@ -428,15 +544,8 @@ def witt_ring_table(field: Field) -> dict:
     index = {data: i for i, data in enumerate(seen)}
     add = [[labels[index[witt_class(gw_add(a, b)).data]] for b in reps] for a in reps]
     mul = [[labels[index[witt_class(gw_mul(a, b)).data]] for b in reps] for a in reps]
-
-    def additive_order(x: GWElement) -> int:
-        acc, n = x, 1
-        while not witt_class(acc).is_zero and n <= 4:
-            acc = gw_add(acc, x)
-            n += 1
-        return n
-
-    cyclic = any(additive_order(r) == 4 for r in reps)
+    # a group of order four is cyclic when some element has a nonzero double
+    cyclic = any(not witt_class(gw_add(r, r)).is_zero for r in reps)
     return {"elements": labels, "add": add, "mul": mul, "cyclic": cyclic}
 
 
@@ -453,41 +562,22 @@ class IdealPower:
             raise DomainError("element lives over a different field")
         if self.n <= 0:
             return True
-        kind = self.field.kind
-        w = witt_class(x)
-        if kind == REAL_CLOSED:
-            return w.data[0] % (2 ** self.n) == 0
-        if kind == QUADRATICALLY_CLOSED:
-            return w.is_zero
-        if kind == FINITE_ODD:
-            if self.n == 1:
-                return w.data[0] == 0
-            return w.is_zero
-        if self.n == 1:
+        if self.n == 1:  # I is the even-rank classes over every field
             return gw_invariants(x)["rank"] % 2 == 0
-        raise DomainError("membership beyond the first power is unsupported here")
+        return self.field.ops.ideal_contains(x, self.n)
 
 
 def fundamental_ideal_power(field: Field, n: int) -> IdealPower:
     if n <= 0:
         return IdealPower(field, n, f"W({field})")
-    kind = field.kind
-    if kind == REAL_CLOSED:
-        desc = f"{2 ** n}Z under the signature isomorphism"
-    elif kind == QUADRATICALLY_CLOSED:
-        desc = "0"
-    elif kind == FINITE_ODD:
-        desc = "order 2, the even-rank classes" if n == 1 else "0"
-    else:
-        desc = "even-rank classes" if n == 1 else "generated by n-fold Pfister classes"
-    return IdealPower(field, n, desc)
+    return IdealPower(field, n, field.ops.ideal_description(n))
 
 
 def pfister_form(field: Field, units) -> GWElement:
     """Product of the binary forms <1> + <-a> over the given units."""
+    ops = field.ops
     out = gw_one(field)
     for a in units:
-        c = square_class(field, a)
-        step = _normalize(field, (square_class(field, 1), c * square_class(field, -1)), ())
-        out = gw_mul(out, step)
+        minus_a = ops.mul(square_class(field, a).rep, ops.minus)
+        out = gw_mul(out, _element(field, [(1, 1), (minus_a, 1)]))
     return out

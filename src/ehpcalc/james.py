@@ -12,6 +12,7 @@ from .simplicial import (
     SMap,
     SSet,
     Simplex,
+    _setattr,
     _simplex,
     collapse,
     degenerate,
@@ -76,12 +77,25 @@ class JamesWord:
         return len(self.letters)
 
 
+def _word(K: SSet, dim: int, letters) -> JamesWord:
+    """A JamesWord whose letters are dim-simplices of K by construction,
+    built without the checks; basepoint letters are still deleted, since
+    faces and smash classes can land on the basepoint."""
+    w = object.__new__(JamesWord)
+    _setattr(w, "complex", K)
+    _setattr(w, "dim", dim)
+    _setattr(w, "letters", tuple(x for x in letters if x.generator != K.basepoint))
+    return w
+
+
 def word_face(w: JamesWord, i: int) -> JamesWord:
-    return JamesWord(w.complex, w.dim - 1, tuple(face(w.complex, x, i) for x in w.letters))
+    if w.dim == 0:
+        raise DomainError("a 0-dimensional word has no faces")
+    return _word(w.complex, w.dim - 1, (face(w.complex, x, i) for x in w.letters))
 
 
 def word_degenerate(w: JamesWord, i: int) -> JamesWord:
-    return JamesWord(w.complex, w.dim + 1, tuple(degenerate(x, i) for x in w.letters))
+    return _word(w.complex, w.dim + 1, (degenerate(x, i) for x in w.letters))
 
 
 def word_is_degenerate(w: JamesWord) -> bool:
@@ -98,7 +112,7 @@ def word_token(w: JamesWord) -> str:
 def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     """Shared degeneracy word and the nondegenerate core word under it."""
     word, cores = joint_normal_form((w.complex,) * len(w.letters), w.letters, w.dim)
-    return word, JamesWord(w.complex, w.dim - len(word), cores)
+    return word, _word(w.complex, w.dim - len(word), cores)
 
 
 def _word_simplex(w: JamesWord) -> Simplex:
@@ -117,7 +131,7 @@ def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
         letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
         for ell in range(1, n + 1):
             for combo in itertools.product(letters, repeat=ell):
-                w = JamesWord(K, m, combo)
+                w = _word(K, m, combo)
                 if word_is_degenerate(w):
                     continue
                 count += 1
@@ -166,7 +180,7 @@ def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
         smash_power_class(w.complex, r, tuple(w.letters[i] for i in idx))
         for idx in itertools.combinations(range(len(w.letters)), r)
     )
-    return JamesWord(target, w.dim, letters)
+    return _word(target, w.dim, letters)
 
 
 def james_hopf_map(K: SSet, n: int, r: int, cap: int = TRUNCATION_CAP) -> SMap:

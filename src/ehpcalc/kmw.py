@@ -4,20 +4,17 @@ degree 0. Products rewrite locally ([1] = 0, eta moved to the front);
 exact normal forms exist over the decidable coefficient fields and route
 degree 0 to diagonal forms, negative degrees to their classes modulo
 hyperbolics, and positive degrees to a (multiplicative part, ideal part)
-pair with a mod-2 matching. Symbolic sheaf tags carry the closed rewrite
-tables for contraction and the tensor pairing.
+pair with a mod-2 matching; what depends on the field kind (letters,
+exactness, the Milnor part, the mod-2 match, formal reality) is asked of
+the field's kind object in gw.py. Symbolic sheaf tags carry the closed
+rewrite tables for contraction and the tensor pairing.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, NoTensorRule, NormalFormUnavailable
 from .gw import (
-    FINITE_ODD,
-    QUADRATICALLY_CLOSED,
-    RATIONALS,
-    REAL_CLOSED,
     Field,
     GWElement,
     WittClass,
@@ -32,31 +29,6 @@ from .gw import (
     witt_class,
 )
 
-# ------------------------------------------------------------------ letters
-
-
-def _unit_letter(field: Field, a):
-    """Canonical bracket entry: an int in the prime subfield for finite
-    fields, a nonzero lowest-terms Fraction elsewhere."""
-    if isinstance(a, str):
-        raise DomainError("bracket entries must be numeric units")
-    if field.kind == FINITE_ODD:
-        p = field.characteristic
-        value = Fraction(a)
-        num, den = value.numerator % p, value.denominator % p
-        if num == 0 or den == 0:
-            raise DomainError("bracket entry is not a unit")
-        return num * pow(den, -1, p) % p
-    value = Fraction(a)
-    if value == 0:
-        raise DomainError("bracket entry is not a unit")
-    return value
-
-
-def _one_letter(field: Field):
-    return 1 if field.kind == FINITE_ODD else Fraction(1)
-
-
 # ------------------------------------------------------------------ symbols
 
 
@@ -70,13 +42,12 @@ class KMWSymbol:
     terms: tuple  # ((coeff, (s, letters)), ...) merged, sorted, no zeros
 
     def __post_init__(self):
-        one = _one_letter(self.field)
         for coeff, (s, letters) in self.terms:
             if not isinstance(coeff, int) or coeff == 0:
                 raise DomainError("coefficients must be nonzero integers")
             if not isinstance(s, int) or s < 0:
                 raise DomainError("eta exponents must be non-negative integers")
-            if any(a == one for a in letters):
+            if any(a == 1 for a in letters):
                 raise DomainError("a bracket at 1 is zero and must be dropped")
             if len(letters) - s != self.degree:
                 raise DomainError("terms must share one degree")
@@ -107,13 +78,12 @@ class KMWSymbol:
 def _build(field: Field, items) -> KMWSymbol:
     """Merge (coeff, monomial) items into a symbol, dropping monomials
     containing a bracket at 1 and zero coefficients."""
-    one = _one_letter(field)
     acc: dict = {}
     degree = None
     for coeff, (s, letters) in items:
         if not isinstance(coeff, int):
             raise DomainError("coefficients must be integers")
-        if any(a == one for a in letters):
+        if any(a == 1 for a in letters):
             continue
         d = len(letters) - s
         if degree is None:
@@ -133,8 +103,12 @@ def kmw_zero(field: Field) -> KMWSymbol:
 
 
 def kmw_bracket(field: Field, a) -> KMWSymbol:
-    """The degree 1 generator [a]; [1] is already zero."""
-    return _build(field, [(1, (0, (_unit_letter(field, a),)))])
+    """The degree 1 generator [a]; [1] is already zero. The entry is kept
+    as an int in the prime subfield for finite fields, a nonzero
+    lowest-terms Fraction elsewhere."""
+    if isinstance(a, str):
+        raise DomainError("bracket entries must be numeric units")
+    return _build(field, [(1, (0, (field.ops.letter(Fraction(a)),)))])
 
 
 def kmw_eta(field: Field) -> KMWSymbol:
@@ -209,19 +183,6 @@ def kmw_epsilon(field: Field) -> KMWSymbol:
 # ------------------------------------------------------------- normal forms
 
 
-@lru_cache(maxsize=None)
-def _dlog_table(p: int) -> dict:
-    # powers of the smallest generator of the units mod p
-    for g in range(2, p):
-        table, acc = {}, 1
-        for e in range(p - 1):
-            table[acc] = e
-            acc = acc * g % p
-        if len(table) == p - 1:
-            return table
-    raise DomainError("no multiplicative generator found")
-
-
 def _gw_value(field: Field, terms) -> GWElement:
     """Sum of coeff * prod([a_i] -> <a_i> - <1>); eta powers act as the
     identity on this value, so they are ignored here."""
@@ -249,22 +210,8 @@ class KMWNormalForm:
     value: object
 
     def __post_init__(self):
-        if self.degree is None or self.degree <= 0:
-            return
         n = self.degree
-        milnor, witt = self.value
-        kind = self.field.kind
-        if kind == FINITE_ODD:
-            if n >= 2:
-                ok = milnor == 0 and witt.is_zero
-            else:
-                ok = (milnor % 2 == 1) == (not witt.is_zero)
-        elif kind == REAL_CLOSED:
-            sig = witt.data[0]
-            ok = sig % (1 << n) == 0 and (sig >> n) % 2 == milnor % 2
-        else:
-            ok = witt.is_zero
-        if not ok:
+        if n is not None and n > 0 and not self.field.ops.parts_match(n, *self.value):
             raise DomainError("normal form parts have mismatched mod-2 images")
 
     def is_zero(self) -> bool:
@@ -286,46 +233,11 @@ class KMWNormalForm:
         return f"({milnor}, {witt})"
 
 
-def _positive_degree_letters_ok(field: Field, terms):
-    if field.kind == REAL_CLOSED:
-        # only the sign fragment is exact in positive degrees
-        if any(a != -1 for _c, (_s, letters) in terms for a in letters):
-            raise NormalFormUnavailable("entries outside {1, -1} have no exact form here")
-    if field.kind == QUADRATICALLY_CLOSED:
-        # the torsion of the unit group is not finitely presented here
-        if any(a < 0 for _c, (_s, letters) in terms for a in letters):
-            raise NormalFormUnavailable("negative entries have no exact form here")
-
-
-def _milnor_part(field: Field, n: int, terms):
-    kind = field.kind
-    if kind == FINITE_ODD:
-        if n >= 2:
-            return 0
-        p, q = field.characteristic, field.q
-        table = _dlog_table(p)
-        stretch = (q - 1) // (p - 1)
-        total = 0
-        for coeff, (s, letters) in terms:
-            if s == 0:
-                total += coeff * table[letters[0]] * stretch
-        return total % (q - 1)
-    if kind == REAL_CLOSED:
-        return sum(coeff for coeff, (s, _l) in terms if s == 0) % 2
-    # quadratically closed, degree 1: the positive units form a free group
-    total = Fraction(1)
-    for coeff, (s, letters) in terms:
-        if s == 0:
-            total *= Fraction(letters[0]) ** coeff
-    return total
-
-
 def kmw_normal_form(x: KMWSymbol) -> KMWNormalForm:
     """Exact evaluation where a normal form exists; raises otherwise so
     callers can fall back to symbolic comparison."""
     field = x.field
-    if field.kind == RATIONALS:
-        raise NormalFormUnavailable("no exact normal form over this field")
+    field.ops.check_exact(x.degree, x.terms)
     if x.degree is None:
         return KMWNormalForm(field, None, None)
     n = x.degree
@@ -333,10 +245,7 @@ def kmw_normal_form(x: KMWSymbol) -> KMWNormalForm:
         return KMWNormalForm(field, 0, _gw_value(field, x.terms))
     if n < 0:
         return KMWNormalForm(field, n, witt_class(_gw_value(field, x.terms)))
-    if field.kind == QUADRATICALLY_CLOSED and n >= 2:
-        raise NormalFormUnavailable("only degree 1 is exact over this field")
-    _positive_degree_letters_ok(field, x.terms)
-    milnor = _milnor_part(field, n, x.terms)
+    milnor = field.ops.milnor_part(n, x.terms)
     witt = witt_class(_gw_value(field, x.terms))
     return KMWNormalForm(field, n, (milnor, witt))
 
@@ -488,10 +397,9 @@ def aone_tensor(e1: SheafExpr, e2: SheafExpr) -> SheafExpr:
 def rational_decomposition(n: int, field: Field) -> dict:
     """After tensoring with the rationals the two factors survive or die
     by degree and by orderability of the field."""
-    formally_real = field.kind in (REAL_CLOSED, RATIONALS)
     return {
         "degree": n,
         "field": str(field),
         "milnor_part_nontrivial": n >= 0,
-        "I_part_nontrivial": formally_real,
+        "I_part_nontrivial": field.ops.formally_real,
     }

@@ -258,3 +258,206 @@ def reference_joint_normal_form(complexes, xs, dim: int):
     for i in reversed(strips):
         word = reference_insert_degeneracy(word, i)
     return word, cur
+
+
+# -- the expanded-tuple form store that ehpcalc.gw replaced by counts per
+# square class. A form is a pair (pos, neg) of tuples of canonical class
+# representatives, one entry per copy: 1 over Qbar, +-1 over R, 1 or "g"
+# over F_q, a squarefree integer over Q.
+
+
+def _reference_squarefree(n: int) -> int:
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return sign * out * n
+
+
+def _reference_field(field) -> tuple[str, int, int]:
+    """(kind, q, p) with q = p = 0 outside finite fields."""
+    q = field.q or 0
+    p = next((d for d in range(2, q + 1) if q % d == 0), 0)
+    return field.kind, q, p
+
+
+def reference_gw_class(field, a):
+    """Canonical class of a nonzero int, a Fraction, or the symbol g."""
+    kind, q, p = _reference_field(field)
+    if a == "g":
+        return "g"
+    if isinstance(a, Fraction):
+        a = a.numerator * a.denominator
+    if kind == "quadratically-closed":
+        return 1
+    if kind == "real-closed":
+        return 1 if a > 0 else -1
+    if kind == "rationals":
+        return _reference_squarefree(a)
+    return 1 if pow(a, (q - 1) // 2, p) == 1 else "g"
+
+
+def reference_gw_class_mul(field, a, b):
+    kind = field.kind
+    if kind == "quadratically-closed":
+        return 1
+    if kind == "real-closed":
+        return a * b
+    if kind == "finite-odd":
+        return "g" if (a == "g") ^ (b == "g") else 1
+    return _reference_squarefree(a * b)
+
+
+def _reference_key(c):
+    return (1, 0) if c == "g" else (0, c)
+
+
+def _reference_from_counts(net: dict) -> tuple[tuple, tuple]:
+    pos, neg = [], []
+    for c in sorted(net, key=_reference_key):
+        n = net[c]
+        (pos if n > 0 else neg).extend([c] * abs(n))
+    return tuple(pos), tuple(neg)
+
+
+def reference_gw_normalize(field, pos, neg) -> tuple[tuple, tuple]:
+    kind = field.kind
+    rank = len(pos) - len(neg)
+    if kind == "quadratically-closed":
+        return _reference_from_counts({1: rank})
+    if kind == "real-closed":
+        sig = sum(pos) - sum(neg)
+        return _reference_from_counts({1: (rank + sig) // 2, -1: (rank - sig) // 2})
+    if kind == "finite-odd":
+        if (pos.count("g") + neg.count("g")) % 2:
+            return _reference_from_counts({1: rank - 1, "g": 1})
+        return _reference_from_counts({1: rank})
+    # rationals: cancel identical classes, then rewrite hyperbolic pairs
+    # <a> + <-a> as <1> + <-1>, one copy at a time
+    net: dict = {}
+    for c in pos:
+        net[c] = net.get(c, 0) + 1
+    for c in neg:
+        net[c] = net.get(c, 0) - 1
+    planes = 0
+    for c in sorted(net, key=_reference_key):
+        if c in (1, -1):
+            continue
+        opp = reference_gw_class_mul(field, c, -1)
+        while net.get(c, 0) > 0 and net.get(opp, 0) > 0:
+            net[c] -= 1
+            net[opp] -= 1
+            planes += 1
+        while net.get(c, 0) < 0 and net.get(opp, 0) < 0:
+            net[c] += 1
+            net[opp] += 1
+            planes -= 1
+    net[1] = net.get(1, 0) + planes
+    net[-1] = net.get(-1, 0) + planes
+    return _reference_from_counts({c: n for c, n in net.items() if n})
+
+
+def reference_gw_make(field, terms):
+    pos, neg = [], []
+    for coeff, a in terms:
+        (pos if coeff > 0 else neg).extend([reference_gw_class(field, a)] * abs(coeff))
+    return reference_gw_normalize(field, tuple(pos), tuple(neg))
+
+
+def reference_gw_add(field, x, y):
+    return reference_gw_normalize(field, x[0] + y[0], x[1] + y[1])
+
+
+def reference_gw_neg(field, x):
+    return reference_gw_normalize(field, x[1], x[0])
+
+
+def reference_gw_mul(field, x, y):
+    (xp, xn), (yp, yn) = x, y
+
+    def prods(us, vs):
+        return tuple(reference_gw_class_mul(field, a, b) for a in us for b in vs)
+
+    return reference_gw_normalize(field, prods(xp, yp) + prods(xn, yn), prods(xp, yn) + prods(xn, yp))
+
+
+def reference_gw_scale(field, n, x):
+    out = reference_gw_normalize(field, (), ())
+    for _ in range(abs(n)):
+        out = reference_gw_add(field, out, x)
+    return out if n >= 0 else reference_gw_neg(field, out)
+
+
+def reference_gw_str(x) -> str:
+    def display_key(rep):
+        if rep == "g":
+            return (4, 0)
+        if rep == 1:
+            return (0, 0)
+        if rep == -1:
+            return (1, 0)
+        return (2 if rep > 0 else 3, abs(rep))
+
+    parts = []
+    for classes, sign in zip(x, ("", "-")):
+        counts: dict = {}
+        for c in classes:
+            counts[c] = counts.get(c, 0) + 1
+        for c in sorted(counts, key=display_key):
+            parts.append(f"{sign}{'' if counts[c] == 1 else counts[c]}<{c}>")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def reference_gw_invariants(field, x) -> dict:
+    """Rank, discriminant class (one factor per copy) and signature."""
+    pos, neg = x
+    disc = 1
+    for c in pos + neg:
+        disc = reference_gw_class_mul(field, disc, c)
+    if field.kind == "real-closed":
+        signature = sum(pos) - sum(neg)
+    elif field.kind == "rationals":
+        signature = sum(1 if c > 0 else -1 for c in pos) - sum(1 if c > 0 else -1 for c in neg)
+    else:
+        signature = "undefined"
+    return {"rank": len(pos) - len(neg), "disc": disc, "signature": signature}
+
+
+def reference_gw_witt_str(field, x) -> str:
+    inv = reference_gw_invariants(field, x)
+    kind = field.kind
+    if kind == "quadratically-closed":
+        return "<1>" if inv["rank"] % 2 else "0"
+    if kind == "real-closed":
+        return str(inv["signature"])
+    if kind == "finite-odd":
+        minus = reference_gw_class(field, -1)
+        parity = inv["rank"] % 2
+        disc = inv["disc"]
+        if (inv["rank"] - parity) // 2 % 2:
+            disc = reference_gw_class_mul(field, disc, minus)
+        if parity:
+            return f"<{disc}>"
+        if disc == 1:
+            return "0"
+        return "<1>+<1>" if reference_gw_class_mul(field, disc, minus) == 1 else "<1>+<g>"
+    # rationals: subtract hyperbolic planes one at a time
+    h = reference_gw_make(field, [(1, 1), (1, -1)])
+    while 1 in x[0] and -1 in x[0]:
+        x = reference_gw_add(field, x, reference_gw_neg(field, h))
+    while 1 in x[1] and -1 in x[1]:
+        x = reference_gw_add(field, x, h)
+    return f"[{reference_gw_str(x)}]"

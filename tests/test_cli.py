@@ -188,6 +188,35 @@ class TestGwCommand:
         assert code == 2
         assert err.startswith("parse error:")
 
+    # forms are stored as counts per square class, so a coefficient of
+    # 10^12 costs no more than a coefficient of 1
+    @pytest.mark.parametrize("field, expected", [
+        ("f5", "999999999992<1> + <g> (rank 999999999993, disc g)"),
+        ("q", "1000000000000<3> - 7<2> (rank 999999999993, disc 2, signature 999999999993)"),
+        ("r", "999999999993<1> (rank 999999999993, disc 1, signature 999999999993)"),
+        ("qbar", "999999999993<1> (rank 999999999993, disc 1)"),
+    ])
+    def test_large_coefficient(self, capsys, field, expected):
+        code, out, _ = run_cli(["gw", "--expr", "1000000000000<3> - 7<2>", "--field", field], capsys)
+        assert code == 0
+        assert out == expected + "\n"
+
+    def test_unit_at_the_trial_division_bound(self, capsys):
+        code, out, _ = run_cli(["gw", "--expr", "<1000000000000>", "--field", "q"], capsys)
+        assert code == 0
+        assert out == "<1> (rank 1, disc 1, signature 1)\n"
+
+    @pytest.mark.parametrize("unit", ["10000000000037", "-1000000000001", "1/1000000000001"])
+    def test_unit_past_the_trial_division_bound(self, capsys, unit):
+        code, _, err = run_cli(["gw", "--expr", f"<{unit}>", "--field", "q"], capsys)
+        assert code == 1
+        assert "square class" in err and "trial-division bound 1000000000000" in err
+
+    def test_field_size_past_the_trial_division_bound(self, capsys):
+        code, _, err = run_cli(["gw", "--expr", "<1>", "--field", "f10000000000037"], capsys)
+        assert code == 1
+        assert "field size 10000000000037 exceeds the trial-division bound" in err
+
 
 class TestKmwCommand:
     def test_generator_normal_form(self, capsys):
@@ -241,6 +270,20 @@ class TestKmwCommand:
     def test_empty_bracket_is_parse_error(self, capsys):
         code, _, _ = run_cli(["kmw", "--expr", "[]", "--field", "f5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("coeff, normal_form", [
+        ("1000000000000", "0"),
+        ("1000000000001", "<g> - <1>"),
+    ])
+    def test_large_coefficient(self, capsys, coeff, normal_form):
+        code, out, _ = run_cli(["kmw", "--expr", f"{coeff}*eta*[3]", "--field", "f5"], capsys)
+        assert code == 0
+        assert out == f"{coeff} eta [3] (degree 0; normal form {normal_form})\n"
+
+    def test_discrete_log_table_past_the_cap(self, capsys):
+        code, _, err = run_cli(["kmw", "--expr", "[2]", "--field", "f1000003"], capsys)
+        assert code == 1
+        assert "discrete-log table: p = 1000003 exceeds the cap of 1000000" in err
 
 
 class TestTensorCommand:

@@ -34,6 +34,7 @@ from ehpcalc.gw import (
     witt_ring_table,
 )
 
+import oracles
 from oracles import representation_counts
 
 QC, RC, QQ = quadratically_closed(), real_closed(), rationals()
@@ -53,13 +54,16 @@ def units_of(field):
     return [1, -1, 2, -2, 3, 5, -30]
 
 
-def elements(field):
+def terms_of(field):
     units = units_of(field)
-    terms = st.lists(
+    return st.lists(
         st.tuples(st.integers(min_value=-3, max_value=3), st.sampled_from(units)),
         max_size=6,
     )
-    return terms.map(lambda t: gw_make(field, t))
+
+
+def elements(field):
+    return terms_of(field).map(lambda t: gw_make(field, t))
 
 
 class TestField:
@@ -284,6 +288,32 @@ class TestRingAxioms:
     def test_hyperbolic_annihilates_witt_classes(self, field, data):
         x = data.draw(elements(field))
         assert witt_class(gw_mul(hyperbolic(field), x)).is_zero
+
+
+class TestCountStoreAgainstReference:
+    """Forms stored as counts per square class against the one-entry-per-copy
+    store they replaced (oracles.reference_gw_*)."""
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_operations_match_the_expanded_store(self, field, data):
+        ta, tb = data.draw(terms_of(field)), data.draw(terms_of(field))
+        n = data.draw(st.integers(min_value=-4, max_value=4))
+        a, b = gw_make(field, ta), gw_make(field, tb)
+        ra, rb = oracles.reference_gw_make(field, ta), oracles.reference_gw_make(field, tb)
+        cases = [
+            (gw_add(a, b), oracles.reference_gw_add(field, ra, rb)),
+            (gw_neg(a), oracles.reference_gw_neg(field, ra)),
+            (gw_mul(a, b), oracles.reference_gw_mul(field, ra, rb)),
+            (gw_scale(n, a), oracles.reference_gw_scale(field, n, ra)),
+        ]
+        for ours, ref in cases:
+            assert str(ours) == oracles.reference_gw_str(ref)
+            inv, want = gw_invariants(ours), oracles.reference_gw_invariants(field, ref)
+            assert (inv["rank"], inv["disc"].rep, inv["signature"]) == (
+                want["rank"], want["disc"], want["signature"])
+            assert str(witt_class(ours)) == oracles.reference_gw_witt_str(field, ref)
 
 
 class TestWitt:

@@ -23,6 +23,7 @@ from ehpcalc.james import (
     word_degenerate,
     word_face,
     word_is_degenerate,
+    word_normal_form,
     word_token,
 )
 from ehpcalc.simplicial import (
@@ -30,6 +31,7 @@ from ehpcalc.simplicial import (
     build_sphere,
     compose,
     degenerate,
+    face as simplicial_face,
     fold_map,
     is_isomorphic,
     smash_map,
@@ -73,6 +75,22 @@ class TestWords:
         assert not word_is_degenerate(mixed)
         # empty word in positive dimension is the degenerate basepoint
         assert word_is_degenerate(JamesWord(S1, 1, ()))
+
+    def test_unchecked_words_equal_checked_ones(self):
+        # word_face and word_normal_form build words without the letter
+        # checks; the public constructor must agree, basepoint deletion
+        # included (the faces of e1 are the basepoint)
+        for K, n in [(S1, 3), (S2, 2), (W, 2)]:
+            for w in james_words(K, n).values():
+                for i in range(w.dim + 1):
+                    letters = tuple(simplicial_face(K, x, i) for x in w.letters)
+                    assert word_face(w, i) == JamesWord(K, w.dim - 1, letters)
+                word, core = word_normal_form(w)
+                assert core == JamesWord(K, core.dim, core.letters)
+
+    def test_no_faces_in_dimension_zero(self):
+        with pytest.raises(DomainError):
+            word_face(JamesWord(S1, 0, ()), 0)
 
     def test_token(self):
         e = S1.simplex("e1")
