@@ -4,6 +4,12 @@ Each subcommand validates its arguments, dispatches to one library
 operation, and prints text or JSON (--format). Identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 domain error,
 2 parse error.
+
+The argument parser is built once, at import, by build_parser. The
+expression grammars share their front end: _scan splits a string into
+tokens, _Cursor walks them, _fold reads a chain of one left-associative
+operator, _signed_sum reads terms joined by + and -, and _fraction is the
+one reader of rational numbers.
 """
 
 import argparse
@@ -11,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .ehp import (
     SphereBidegree,
@@ -30,7 +37,7 @@ from .gw import (
     gw_add,
     gw_invariants,
     gw_make,
-    gw_zero,
+    gw_neg,
     quadratically_closed,
     rationals,
     real_closed,
@@ -104,11 +111,12 @@ class _Cursor:
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        """The next token, or "" past the end."""
+        return self.tokens[self.i] if self.i < len(self.tokens) else ""
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None:
+        if not tok:
             raise ExprParseError(f"{self.what} expression ends early")
         if expected is not None and tok != expected:
             raise ExprParseError(f"expected {expected!r}, found {tok!r}")
@@ -116,7 +124,7 @@ class _Cursor:
         return tok
 
     def done(self):
-        if self.peek() is not None:
+        if self.peek():
             raise ExprParseError(f"unexpected trailing token {self.peek()!r}")
 
     def nested(self, parse):
@@ -130,6 +138,37 @@ class _Cursor:
             self.depth -= 1
 
 
+def _fold(cur, op, operand, combine):
+    """operand (op operand)*, combined from the left."""
+    x = operand(cur)
+    while cur.peek() == op:
+        cur.take()
+        x = combine(x, operand(cur))
+    return x
+
+
+def _signed_sum(cur, term, add, neg):
+    """[+|-] term ((+|-) term)*, each term evaluated as soon as it is read."""
+    def signed(sign):
+        x = term(cur)
+        return neg(x) if sign == "-" else x
+
+    total = signed(cur.take() if cur.peek() in ("+", "-") else "+")
+    while cur.peek():
+        sign = cur.take()
+        if sign not in ("+", "-"):
+            raise ExprParseError(f"{cur.what} terms must be joined by + or -")
+        total = add(total, signed(sign))
+    return total
+
+
+def _fraction(body: str, what: str) -> Fraction:
+    try:
+        return Fraction(body)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ExprParseError(f"bad {what} {body!r}") from exc
+
+
 # -- space expressions: S{n}, pt, wedge +, product x, smash ^, J(K,n), Q(K,n)
 
 
@@ -140,30 +179,6 @@ def parse_space(text: str) -> SSet:
     cur = _Cursor(_scan(text, _SPACE_RE, "space"), "space")
     K = _space_sum(cur)
     cur.done()
-    return K
-
-
-def _space_sum(cur) -> SSet:
-    K = _space_product(cur)
-    while cur.peek() == "+":
-        cur.take()
-        K = wedge(K, _space_product(cur))
-    return K
-
-
-def _space_product(cur) -> SSet:
-    K = _space_smash(cur)
-    while cur.peek() == "x":
-        cur.take()
-        K = product(K, _space_smash(cur))
-    return K
-
-
-def _space_smash(cur) -> SSet:
-    K = _space_atom(cur)
-    while cur.peek() == "^":
-        cur.take()
-        K = smash(K, _space_atom(cur))
     return K
 
 
@@ -192,6 +207,12 @@ def _space_atom(cur) -> SSet:
         cur.take(")")
         return james_truncation(K, n) if tok == "J" else james_quotient(K, n)[0]
     raise ExprParseError(f"unexpected token {tok!r}")
+
+
+# smash binds tightest, then product, then wedge
+_space_smash = partial(_fold, op="^", operand=_space_atom, combine=smash)
+_space_product = partial(_fold, op="x", operand=_space_smash, combine=product)
+_space_sum = partial(_fold, op="+", operand=_space_product, combine=wedge)
 
 
 # -- james words: letters split on |, each "s1 s0 name" with ops outermost first
@@ -244,45 +265,22 @@ def parse_word(text: str, dim=None) -> JamesWord:
 _GW_RE = re.compile(r"<[^<>]+>|\d+|[+\-*]")
 
 
-def _parse_unit(body: str):
-    if body == "g":
-        return "g"
-    try:
-        return Fraction(body)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ExprParseError(f"bad unit {body!r}") from exc
-
-
 def parse_gw_expr(text: str, field):
-    toks = _scan(text, _GW_RE, "form")
-    i, n = 0, len(toks)
-    total = gw_zero(field)
-    first = True
-    while i < n:
-        sign = 1
-        if toks[i] in "+-":
-            sign = -1 if toks[i] == "-" else 1
-            i += 1
-        elif not first:
-            raise ExprParseError("form terms must be joined by + or -")
-        first = False
-        coeff, has_coeff = 1, False
-        if i < n and toks[i].isdigit():
-            coeff, has_coeff = int(toks[i]), True
-            i += 1
-            if i < n and toks[i] == "*":
-                i += 1
-        if i < n and toks[i].startswith("<"):
-            unit = _parse_unit(toks[i][1:-1])
-            i += 1
-        elif has_coeff:
+    def term(cur):
+        # [n[*]]<unit>, or a bare n standing for n<1>
+        coeff = cur.take() if cur.peek().isdigit() else ""
+        if coeff and cur.peek() == "*":
+            cur.take()
+        if cur.peek().startswith("<"):
+            body = cur.take()[1:-1]
+            unit = "g" if body == "g" else _fraction(body, "unit")
+        elif coeff:
             unit = 1
         else:
             raise ExprParseError("expected <unit>")
-        total = gw_add(total, gw_make(field, [(sign * coeff, unit)]))
-    if first:
-        raise ExprParseError("empty form expression")
-    return total
+        return gw_make(field, [(int(coeff or 1), unit)])
+
+    return _signed_sum(_Cursor(_scan(text, _GW_RE, "form"), "form"), term, gw_add, gw_neg)
 
 
 # -- symbols: "[a]", "eta", "<a>", integer scalars, joined by + - *
@@ -291,46 +289,21 @@ def parse_gw_expr(text: str, field):
 _KMW_RE = re.compile(r"\[[^][]+\]|<[^<>]+>|eta|\d+|[+\-*]")
 
 
-def _rational(body: str) -> Fraction:
-    try:
-        return Fraction(body)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ExprParseError(f"bad entry {body!r}") from exc
-
-
 def parse_kmw_expr(text: str, field):
-    cur = _Cursor(_scan(text, _KMW_RE, "symbol"), "symbol")
-
-    def unit():
+    def unit(cur):
         tok = cur.take()
         if tok == "eta":
             return kmw_eta(field)
         if tok.startswith("["):
-            return kmw_bracket(field, _rational(tok[1:-1]))
+            return kmw_bracket(field, _fraction(tok[1:-1], "entry"))
         if tok.startswith("<"):
-            return kmw_form(field, _rational(tok[1:-1]))
+            return kmw_form(field, _fraction(tok[1:-1], "entry"))
         if tok.isdigit():
             return kmw_scalar(field, int(tok))
         raise ExprParseError(f"unexpected token {tok!r}")
 
-    def product_term():
-        sym = unit()
-        while cur.peek() == "*":
-            cur.take()
-            sym = kmw_mul(sym, unit())
-        return sym
-
-    sign = 1
-    if cur.peek() in ("+", "-"):
-        sign = -1 if cur.take() == "-" else 1
-    total = product_term() if sign > 0 else kmw_neg(product_term())
-    while cur.peek() is not None:
-        joiner = cur.take()
-        if joiner not in ("+", "-"):
-            raise ExprParseError("symbol terms must be joined by + or -")
-        term = product_term()
-        total = kmw_add(total, kmw_neg(term) if joiner == "-" else term)
-    return total
+    product_term = partial(_fold, op="*", operand=unit, combine=kmw_mul)
+    return _signed_sum(_Cursor(_scan(text, _KMW_RE, "symbol"), "symbol"), product_term, kmw_add, kmw_neg)
 
 
 # -- sheaf names: KMW(n), KM(n)[/r], I(n), W, Z[/r], 0, (x), _{-j}
@@ -353,24 +326,12 @@ def _sheaf_int(cur) -> int:
     return int(tok)
 
 
-def _sheaf_tensor(cur) -> SheafExpr:
-    e = _sheaf_atom(cur)
-    while cur.peek() == "(x)":
-        cur.take()
-        e = aone_tensor(e, _sheaf_atom(cur))
-    return e
-
-
 def _sheaf_atom(cur) -> SheafExpr:
     tok = cur.take()
     if tok == "(":
         e = cur.nested(_sheaf_tensor)
         cur.take(")")
-    elif tok == "KMW":
-        cur.take("(")
-        e = SheafExpr("KMW", (_sheaf_int(cur),))
-        cur.take(")")
-    elif tok in ("KM", "I"):
+    elif tok in ("KMW", "KM", "I"):
         cur.take("(")
         n = _sheaf_int(cur)
         cur.take(")")
@@ -391,12 +352,15 @@ def _sheaf_atom(cur) -> SheafExpr:
         e = SheafExpr("Zero", ())
     else:
         raise ExprParseError(f"unexpected token {tok!r}")
-    while cur.peek() is not None and cur.peek().startswith("_{"):
+    while cur.peek().startswith("_{"):
         v = int(cur.take()[2:-1])
         if v > 0:
             raise ExprParseError("subscripts denote contraction; write _{-j}")
         e = contraction(e, -v)
     return e
+
+
+_sheaf_tensor = partial(_fold, op="(x)", operand=_sheaf_atom, combine=aone_tensor)
 
 
 def parse_sphere(text: str) -> SphereBidegree:
@@ -536,10 +500,7 @@ def cmd_degree(args) -> str:
     if len(parts) != 2:
         raise ExprParseError("the value is two comma-separated rationals")
     for part in parts:
-        try:
-            Fraction(part)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExprParseError(f"bad coordinate {part!r}") from exc
+        _fraction(part, "coordinate")
     value = tuple(parts)
     ids = args.map
     deg = degree_by_signed_preimages(ids[0] if len(ids) == 1 else ids, value)
@@ -572,67 +533,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(owner, name, run, **kwargs):
-        p = owner.add_parser(name, **kwargs)
+    def add(owner, name, run, summary, *required):
+        """Subcommand name with --format, then the required string options."""
+        p = owner.add_parser(name, help=summary)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        for flag in required:
+            p.add_argument(flag, required=True)
         p.set_defaults(run=run)
         return p
 
-    p = add(sub, "homology", cmd_homology, help="reduced integral homology of a space expression")
-    p.add_argument("--space", required=True)
-
-    p = add(sub, "james", cmd_james, help="cell census of a truncation level")
-    p.add_argument("--space", required=True)
+    add(sub, "homology", cmd_homology, "reduced integral homology of a space expression", "--space")
+    p = add(sub, "james", cmd_james, "cell census of a truncation level", "--space")
     p.add_argument("-n", "--level", type=int, required=True)
-
-    p = add(sub, "hopf", cmd_hopf, help="subsequence word of a james word")
-    p.add_argument("--word", required=True)
+    p = add(sub, "hopf", cmd_hopf, "subsequence word of a james word", "--word")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
+    add(sub, "gw", cmd_gw, "normalize a diagonal form and report invariants", "--expr", "--field")
+    add(sub, "kmw", cmd_kmw, "normalize a symbol expression", "--expr", "--field")
+    add(sub, "tensor", cmd_tensor, "resolve a sheaf expression", "--expr")
 
-    p = add(sub, "gw", cmd_gw, help="normalize a diagonal form and report invariants")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--field", required=True)
-
-    p = add(sub, "kmw", cmd_kmw, help="normalize a symbol expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--field", required=True)
-
-    p = add(sub, "tensor", cmd_tensor, help="resolve a sheaf expression")
-    p.add_argument("--expr", required=True)
-
-    ehp = sub.add_parser("ehp", help="sphere bookkeeping")
-    ehp_sub = ehp.add_subparsers(dest="ehp_command", required=True)
-
-    p = add(ehp_sub, "hp", cmd_ehp_hp, help="boundary element case and invariants")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--field", required=True)
-
-    p = add(ehp_sub, "exchange", cmd_ehp_exchange, help="factor-swap degree")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--field", required=True)
-
-    p = add(ehp_sub, "sequence", cmd_ehp_sequence, help="exact-sequence window report")
-    p.add_argument("--sphere", required=True)
+    ehp_sub = sub.add_parser("ehp", help="sphere bookkeeping").add_subparsers(dest="ehp_command", required=True)
+    for name, run, summary in (("hp", cmd_ehp_hp, "boundary element case and invariants"),
+                               ("exchange", cmd_ehp_exchange, "factor-swap degree")):
+        p = add(ehp_sub, name, run, summary)
+        p.add_argument("-p", type=int, required=True)
+        p.add_argument("-q", type=int, required=True)
+        p.add_argument("--field", required=True)
+    p = add(ehp_sub, "sequence", cmd_ehp_sequence, "exact-sequence window report", "--sphere")
     p.add_argument("--mode", choices=("low_degree", "full_range"), default="low_degree")
-
-    p = add(ehp_sub, "classical", cmd_ehp_classical, help="integer boundary degree at q = 0")
+    p = add(ehp_sub, "classical", cmd_ehp_classical, "integer boundary degree at q = 0")
     p.add_argument("-p", type=int, required=True)
 
-    p = add(sub, "degree", cmd_degree, help="signed-preimage degree of a built-in square map")
+    p = add(sub, "degree", cmd_degree, "signed-preimage degree of a built-in square map")
     p.add_argument("--map", nargs="+", required=True)
     p.add_argument("--at", required=True)
-
-    p = add(sub, "facts", cmd_facts, help="recorded values table")
-    p.add_argument("--key", default=None)
-
+    add(sub, "facts", cmd_facts, "recorded values table").add_argument("--key", default=None)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         out = args.run(args)
     except ExprParseError as exc:

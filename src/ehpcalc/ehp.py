@@ -16,7 +16,6 @@ from .gw import (
     gw_add,
     gw_invariants,
     gw_make,
-    gw_mul,
     gw_one,
     gw_scale,
     gw_sub,
@@ -59,18 +58,14 @@ def _pi(m: int, w: int, space: str) -> str:
     return f"pi_{{{sub}}}({space})"
 
 
-def _power(x: GWElement, k: int) -> GWElement:
-    out = gw_one(x.field)
-    for _ in range(k):
-        out = gw_mul(out, x)
-    return out
-
-
 def exchange_degree(p: int, q: int, field: Field) -> GWElement:
-    """Degree (-1)^p eps^q of the factor swap on the smash square of S^{p+qa}."""
+    """Degree (-1)^p eps^q of the factor swap on the smash square of S^{p+qa}.
+
+    eps^2 = <1>, so eps^q is eps for odd q and <1> for even q.
+    """
     if p < 0 or q < 0:
         raise DomainError("exchange degrees need p >= 0 and q >= 0")
-    return gw_scale((-1) ** p, _power(exchange_class(field), q))
+    return gw_scale((-1) ** p, exchange_class(field) if q % 2 else gw_one(field))
 
 
 # case label keyed by (p mod 2, q mod 2)
@@ -100,11 +95,12 @@ def classical_hp_degree(p: int) -> int:
 
 
 def hp_differential_variant(p: int, q: int, field: Field) -> GWElement:
-    """The same boundary element written as <1> + (-1)^(p+1+q) <-1>^q."""
+    """The same boundary element written as <1> + (-1)^(p+1+q) <-1>^q, where
+    <-1>^q is <-1> for odd q and <1> for even q."""
     if p <= 1 or q < 1:
         raise DomainError("the differential is identified only for p > 1, q >= 1")
-    minus_one = gw_make(field, [(1, -1)])
-    return gw_add(gw_one(field), gw_scale((-1) ** (p + 1 + q), _power(minus_one, q)))
+    minus_one_power = gw_make(field, [(1, -1 if q % 2 else 1)])
+    return gw_add(gw_one(field), gw_scale((-1) ** (p + 1 + q), minus_one_power))
 
 
 def hp_invariant_report(p: int, q: int) -> dict:

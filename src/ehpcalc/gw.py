@@ -26,8 +26,14 @@ RATIONALS = "rationals"
 
 # Trial division runs up to sqrt(n): about a million steps at this bound.
 TRIAL_DIVISION_BOUND = 10**12
-# A discrete-log table holds p - 1 entries.
+# A discrete-log table holds p - 1 entries; at most DLOG_TABLES_KEPT of them
+# stay cached at once.
 DLOG_TABLE_CAP = 10**6
+DLOG_TABLES_KEPT = 8
+# Largest sum of |c| * (bits of a letter) over the terms of a Milnor part
+# over Qbar: its product then prints in under 4,300 decimal digits, the
+# interpreter's limit on converting an int to a string.
+MILNOR_BITS_CAP = 10_000
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -56,7 +62,7 @@ def _squarefree(n: int) -> int:
     return (1 if n > 0 else -1) * out * m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DLOG_TABLES_KEPT)
 def _dlog_table(p: int) -> dict:
     if p > DLOG_TABLE_CAP:
         raise CapExceeded(f"discrete-log table: p = {p} exceeds the cap of {DLOG_TABLE_CAP}")
@@ -156,7 +162,11 @@ class _QuadraticallyClosed(_Kind):
 
     def milnor_part(self, n: int, terms):
         # degree 1: the positive units form a free group
-        return prod((Fraction(w[0]) ** c for c, (s, w) in terms if s == 0), start=Fraction(1))
+        powers = [(Fraction(w[0]), c) for c, (s, w) in terms if s == 0]
+        bits = sum(abs(c) * (a.numerator.bit_length() + a.denominator.bit_length()) for a, c in powers)
+        if bits > MILNOR_BITS_CAP:
+            raise CapExceeded(f"Milnor part over Qbar: {bits} bits exceeds the cap of {MILNOR_BITS_CAP}")
+        return prod((a ** c for a, c in powers), start=Fraction(1))
 
 
 class _RealClosed(_Kind):

@@ -23,19 +23,33 @@ from .simplicial import (
     simplex_token,
     smash,
     smash_class,
+    smash_size,
 )
 
 TRUNCATION_CAP = 2000
+# Largest smash power built, in generators (the cube of a wedge of eight
+# circles has 6,657), and in factors: a power of S^0 keeps two generators
+# while their names grow with the number of factors.
+SMASH_POWER_CAP = 25_000
+SMASH_FACTOR_CAP = 1000
 
 
 @lru_cache(maxsize=None)
 def smash_power(K: SSet, r: int) -> SSet:
-    """Iterated smash product, associated to the left."""
+    """Iterated smash product, associated to the left; the size of each step
+    is counted before it is built."""
     if r < 1:
         raise DomainError("smash power needs r >= 1")
-    if r == 1:
-        return K
-    return smash(smash_power(K, r - 1), K)
+    if r > SMASH_FACTOR_CAP:
+        raise CapExceeded(f"smash power: {r} factors exceed the cap of {SMASH_FACTOR_CAP}")
+    out = K
+    for j in range(2, r + 1):
+        size = smash_size(out, K)
+        if size > SMASH_POWER_CAP:
+            raise CapExceeded(
+                f"smash power: factor {j} of {r} gives {size} generators, over the cap of {SMASH_POWER_CAP}")
+        out = smash(out, K)
+    return out
 
 
 def smash_power_class(K: SSet, r: int, xs: tuple[Simplex, ...]) -> Simplex:

@@ -17,7 +17,9 @@ import bisect
 import functools
 import itertools
 import json
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError, ExprParseError
@@ -26,6 +28,10 @@ from .errors import CapExceeded, DomainError, ExprParseError
 # after this many candidate checks.
 ISO_GENERATOR_CAP = 512
 ISO_NODE_BUDGET = 200_000
+# Largest sphere dimension built: the face table of the one generator of
+# S^n holds n + 1 words of length n - 1, and building and checking it takes
+# memory growing about as n^3.
+SPHERE_DIM_CAP = 256
 
 
 def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -307,6 +313,8 @@ def build_sphere(n: int) -> SSet:
     """
     if n < 0:
         raise DomainError(f"sphere dimension must be nonnegative, got {n}")
+    if n > SPHERE_DIM_CAP:
+        raise CapExceeded(f"sphere: dimension {n} exceeds the cap of {SPHERE_DIM_CAP}")
     if n == 0:
         return SSet.build("*", {"*": 0, "e0": 0}, {})
     K = SSet.build("*", {"*": 0, f"e{n}": n}, {f"e{n}": tuple(
@@ -438,6 +446,21 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
 
 def smash(A: SSet, B: SSet) -> SSet:
     return smash_with_pairs(A, B)[0]
+
+
+def smash_size(A: SSet, B: SSet) -> int:
+    """Generator count of smash(A, B) from the two dimension censuses.
+
+    Generators a, b of dimensions p, q give one cell per n in [max(p, q),
+    p + q] and per disjoint pair of degeneracy words: C(n, p) choices for
+    the word on a, then C(p, n - q) for the word on b in the rest.
+    """
+    def census(K: SSet) -> Counter:
+        return Counter(d for name, d in K.gens if name != K.basepoint)
+
+    return 1 + sum(
+        ca * cb * sum(math.comb(n, p) * math.comb(p, n - q) for n in range(max(p, q), p + q + 1))
+        for p, ca in census(A).items() for q, cb in census(B).items())
 
 
 def _smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:

@@ -461,3 +461,24 @@ def reference_gw_witt_str(field, x) -> str:
     while 1 in x[1] and -1 in x[1]:
         x = reference_gw_add(field, x, h)
     return f"[{reference_gw_str(x)}]"
+
+
+def reference_gw_power(field, x, k: int):
+    """x^k by k multiplications, starting from <1>."""
+    out = reference_gw_make(field, [(1, 1)])
+    for _ in range(k):
+        out = reference_gw_mul(field, out, x)
+    return out
+
+
+def reference_exchange_degree(field, p: int, q: int):
+    """(-1)^p eps^q with eps = -<-1>, multiplied out q times."""
+    eps = reference_gw_make(field, [(-1, -1)])
+    return reference_gw_scale(field, (-1) ** p, reference_gw_power(field, eps, q))
+
+
+def reference_hp_variant(field, p: int, q: int):
+    """<1> + (-1)^(p+1+q) <-1>^q, multiplied out q times."""
+    power = reference_gw_power(field, reference_gw_make(field, [(1, -1)]), q)
+    return reference_gw_add(field, reference_gw_make(field, [(1, 1)]),
+                            reference_gw_scale(field, (-1) ** (p + 1 + q), power))

@@ -1,9 +1,15 @@
 """Subcommand dispatch, grammars, exit codes, output determinism."""
 
+import argparse
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import ehpcalc
 from ehpcalc.cli import MAX_NESTING, main
 
 
@@ -339,6 +345,11 @@ class TestEhpCommands:
         )
         assert out == "-<-1>\n"
 
+    def test_exchange_at_huge_q_matches_its_parity(self, capsys):
+        for q, small in (("100000000", "2"), ("100000001", "1")):
+            argv = ["ehp", "exchange", "-p", "1", "-q", q, "--field", "f5"]
+            assert run_cli(argv, capsys) == run_cli(argv[:5] + [small] + argv[6:], capsys)
+
     def test_classical_route(self, capsys):
         assert run_cli(["ehp", "classical", "-p", "3"], capsys)[1] == "2\n"
         assert run_cli(["ehp", "classical", "-p", "1"], capsys)[0] == 1
@@ -502,3 +513,109 @@ class TestDeterminism:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# (argv, exit code, full stderr) for malformed input to each grammar, as
+# recorded before the grammars shared their front end.
+GOLDEN_ERRORS = [
+    (['homology', '--space', 'S1 +'], 2, 'parse error: space expression ends early\n'),
+    (['homology', '--space', 'T2'], 2, "parse error: bad space expression near 'T2'\n"),
+    (['homology', '--space', 'J(S1)'], 2, "parse error: expected ',', found ')'\n"),
+    (['homology', '--space', '()'], 2, "parse error: unexpected token ')'\n"),
+    (['homology', '--space', 'S1 S1'], 2, "parse error: unexpected trailing token 'S1'\n"),
+    (['homology', '--space', 'J(S1,x)'], 2, "parse error: expected a level, found 'x'\n"),
+    (['homology', '--space', 'S1 ^ -1'], 2, "parse error: bad space expression near '-1'\n"),
+    (['homology', '--space', ''], 2, 'parse error: empty space expression\n'),
+    (['homology', '--space', '(S1'], 2, 'parse error: space expression ends early\n'),
+    (['hopf', '--word', 'x||y', '-r', '1'], 2, 'parse error: empty letter in word\n'),
+    (['hopf', '--word', 't0 x', '-r', '1'], 2, "parse error: bad degeneracy operator 't0'\n"),
+    (['hopf', '--word', '', '-r', '1'], 2, 'parse error: empty letter in word\n'),
+    (['hopf', '--word', 's0 s1 x', '-r', '1', '--dim', '1'], 1, "error: letter 'x' has too many degeneracies for dimension 1\n"),
+    (['gw', '--expr', '<1> <1>', '--field', 'f5'], 2, 'parse error: form terms must be joined by + or -\n'),
+    (['gw', '--expr', '<1> +', '--field', 'f5'], 2, 'parse error: expected <unit>\n'),
+    (['gw', '--expr', '', '--field', 'f5'], 2, 'parse error: empty form expression\n'),
+    (['gw', '--expr', '<a>', '--field', 'f5'], 2, "parse error: bad unit 'a'\n"),
+    (['gw', '--expr', '<1/0>', '--field', 'q'], 2, "parse error: bad unit '1/0'\n"),
+    (['gw', '--expr', '<1> ? <2>', '--field', 'f5'], 2, "parse error: bad form expression near '?<2>'\n"),
+    (['gw', '--expr', '2*3', '--field', 'f5'], 2, 'parse error: form terms must be joined by + or -\n'),
+    (['gw', '--expr=-*<1>', '--field', 'f5'], 2, 'parse error: expected <unit>\n'),
+    (['gw', '--expr', '<1>', '--field', 'f4'], 1, 'error: finite field size must be an odd prime power >= 3\n'),
+    (['gw', '--expr', '<1>', '--field', 'bogus'], 2, "parse error: unknown field 'bogus'\n"),
+    (['gw', '--expr', '<g>', '--field', 'q'], 1, 'error: the symbol g is reserved for finite fields\n'),
+    (['gw', '--expr', '<0>', '--field', 'r'], 1, 'error: zero is not a unit\n'),
+    (['kmw', '--expr', '[2] [3]', '--field', 'f5'], 2, 'parse error: symbol terms must be joined by + or -\n'),
+    (['kmw', '--expr', '[2] +', '--field', 'f5'], 2, 'parse error: symbol expression ends early\n'),
+    (['kmw', '--expr', '[x]', '--field', 'f5'], 2, "parse error: bad entry 'x'\n"),
+    (['kmw', '--expr', '<1/0>', '--field', 'f5'], 2, "parse error: bad entry '1/0'\n"),
+    (['kmw', '--expr', '*[2]', '--field', 'f5'], 2, "parse error: unexpected token '*'\n"),
+    (['kmw', '--expr', '[]', '--field', 'f5'], 2, "parse error: bad symbol expression near '[]'\n"),
+    (['kmw', '--expr', '[2] * +', '--field', 'f5'], 2, "parse error: unexpected token '+'\n"),
+    (['kmw', '--expr', '', '--field', 'f5'], 2, 'parse error: empty symbol expression\n'),
+    (['kmw', '--expr', '[0]', '--field', 'f5'], 1, 'error: bracket entry is not a unit\n'),
+    (['kmw', '--expr', '[2]+eta', '--field', 'f5'], 1, 'error: cannot add symbols of different degrees\n'),
+    (['tensor', '--expr', 'KMW(2) (x)'], 2, 'parse error: sheaf expression ends early\n'),
+    (['tensor', '--expr', 'KMW(x)'], 2, "parse error: expected '(', found '(x)'\n"),
+    (['tensor', '--expr', 'KM(2)/'], 2, 'parse error: sheaf expression ends early\n'),
+    (['tensor', '--expr', 'I(1)_{1}'], 2, 'parse error: subscripts denote contraction; write _{-j}\n'),
+    (['tensor', '--expr', 'KMW(2) KMW(3)'], 2, "parse error: unexpected trailing token 'KMW'\n"),
+    (['tensor', '--expr', 'Q'], 2, "parse error: bad sheaf expression near 'Q'\n"),
+    (['tensor', '--expr', '(W'], 2, 'parse error: sheaf expression ends early\n'),
+    (['tensor', '--expr', ''], 2, 'parse error: empty sheaf expression\n'),
+    (['tensor', '--expr', 'KMW(2)/3'], 2, "parse error: unexpected trailing token '/'\n"),
+    (['degree', '--map', 'identity', '--at', '1/2'], 2, 'parse error: the value is two comma-separated rationals\n'),
+    (['degree', '--map', 'identity', '--at', 'a,1/2'], 2, "parse error: bad coordinate 'a'\n"),
+    (['degree', '--map', 'identity', '--at', '1/0,1/2'], 2, "parse error: bad coordinate '1/0'\n"),
+    (['degree', '--map', 'identity', '--at', ',1/2'], 2, "parse error: bad coordinate ''\n"),
+    (['degree', '--map', 'identity', '--at', '1,2,3'], 2, 'parse error: the value is two comma-separated rationals\n'),
+    (['degree', '--map', 'bogus', '--at', '1/3,1/5'], 1, "error: unknown map id 'bogus'; known ids: coordinate_flip, identity, whitehead_exchange_homotopy\n"),
+    (['ehp', 'sequence', '--sphere', 'S[x]'], 2, "parse error: bad sphere 'S[x]'; write S[n] or S[n+qa]\n"),
+    (['ehp', 'sequence', '--sphere', 'S[2+a]'], 2, "parse error: bad sphere 'S[2+a]'; write S[n] or S[n+qa]\n"),
+    (['ehp', 'sequence', '--sphere', 'T[2]'], 2, "parse error: bad sphere 'T[2]'; write S[n] or S[n+qa]\n"),
+    (['ehp', 'sequence', '--sphere', 'S[0]'], 1, 'error: the sequence needs simplicial degree >= 2\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", GOLDEN_ERRORS, ids=[" ".join(a) for a, _, _ in GOLDEN_ERRORS])
+def test_golden_errors(argv, code, err, capsys):
+    assert run_cli(argv, capsys) == (code, "", err)
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["ehp", "classical", "-p", "3"], capsys)[0] == 0
+    assert run_cli(["facts"], capsys)[0] == 0
+    assert built == []
+
+
+def _limit_address_space():
+    limit = 2_000_000 * 1024  # ulimit -v 2000000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ehp", "exchange", "-p", "1", "-q", "100000000", "--field", "f5"],
+    ["kmw", "--expr", "20000*[2]", "--field", "qbar"],
+    ["kmw", "--expr", "1000000000000*[2]", "--field", "qbar"],
+    ["homology", "--space", "S3000"],
+    ["hopf", "--word", "x|y", "-r", "3000"],
+    ["hopf", "--word", "x|y", "-r", "6"],
+    ["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"],
+], ids=" ".join)
+def test_bounded_inputs_end_cleanly_in_a_child(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "ehpcalc.cli", *argv], env=env, capture_output=True,
+                          text=True, preexec_fn=_limit_address_space, timeout=600)
+    assert done.returncode in (0, 1, 2)
+    assert "Traceback" not in done.stderr
+    if argv[0] == "ehp":
+        assert (done.returncode, done.stdout) == (0, "-<1>\n")
+    else:
+        assert done.returncode == 1 and done.stderr.startswith("error: ")

@@ -34,8 +34,11 @@ from ehpcalc.gw import (
     gw_zero,
     hyperbolic,
     quadratically_closed,
+    rationals,
     real_closed,
 )
+
+import oracles
 
 F5 = finite_odd(5)
 RC = real_closed()
@@ -108,6 +111,22 @@ class TestExchangeDegree:
                         gw_equal(exchange_degree(p1 + p2, q1 + q2, field), product)
                         is True
                     )
+
+    @pytest.mark.parametrize("field", [QC, RC, rationals()] + [finite_odd(q) for q in (3, 5, 7, 9)], ids=str)
+    def test_closed_form_matches_repeated_products(self, field):
+        for q in range(8):
+            for p in range(4):
+                expected = oracles.reference_exchange_degree(field, p, q)
+                assert str(exchange_degree(p, q, field)) == oracles.reference_gw_str(expected)
+            if q >= 1:
+                for p in range(2, 5):
+                    expected = oracles.reference_hp_variant(field, p, q)
+                    assert str(hp_differential_variant(p, q, field)) == oracles.reference_gw_str(expected)
+
+    def test_huge_q_follows_parity(self):
+        for field in FIELDS:
+            assert exchange_degree(3, 10**12 + 1, field) == exchange_degree(3, 1, field)
+            assert hp_differential_variant(3, 10**12, field) == hp_differential_variant(3, 2, field)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

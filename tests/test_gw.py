@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ehpcalc.errors import DomainError
 from ehpcalc.gw import (
+    DLOG_TABLES_KEPT,
+    _dlog_table,
     Field,
     exchange_class,
     finite_odd,
@@ -402,6 +404,15 @@ class TestIdealPowers:
         assert not ideal.contains(gw_one(QQ))
         with pytest.raises(DomainError):
             fundamental_ideal_power(QQ, 2).contains(gw_one(QQ))
+
+    def test_discrete_log_tables_kept_are_bounded(self):
+        _dlog_table.cache_clear()
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        for p in primes:
+            assert len(_dlog_table(p)) == p - 1
+        info = _dlog_table.cache_info()
+        assert info.maxsize == DLOG_TABLES_KEPT == 8
+        assert info.currsize == 8 and info.misses == len(primes)
 
     def test_scale_helper(self):
         assert gw_scale(3, gw_one(RC)) == gw_make(RC, [(3, 1)])

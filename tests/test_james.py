@@ -248,6 +248,18 @@ class TestHopfMap:
         assert left.images == right.images
 
 
+class TestSmashPowerBudget:
+    def test_counted_before_built(self):
+        assert smash_power(S1, 6).n_generators == 4684
+        with pytest.raises(CapExceeded, match="smash power: factor 6 of 6 gives 299713 generators"):
+            smash_power(W, 6)
+
+    def test_factor_cap(self):
+        assert smash_power(S0, 400).n_generators == 2
+        with pytest.raises(CapExceeded, match="smash power: 3000 factors exceed the cap of 1000"):
+            smash_power(W, 3000)
+
+
 class TestQuotient:
     def test_level_one_is_the_space(self):
         Q, witness = james_quotient(S1, 1)

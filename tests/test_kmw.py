@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehpcalc.errors import DomainError, NoTensorRule, NormalFormUnavailable
+from ehpcalc.errors import CapExceeded, DomainError, NoTensorRule, NormalFormUnavailable
 from ehpcalc.gw import (
     finite_odd,
     gw_equal,
@@ -306,6 +306,12 @@ class TestQuadraticallyClosedNormalForms:
             kmw_normal_form(kmw_mul(kmw_bracket(QC, 2), kmw_bracket(QC, 3)))
         with pytest.raises(NormalFormUnavailable):
             kmw_normal_form(kmw_bracket(QC, -5))
+
+    def test_milnor_part_bit_cap(self):
+        # [2] counts 3 bits a copy against the cap of 10,000
+        assert kmw_normal_form(kmw_scale(3333, kmw_bracket(QC, 2))).value[0] == 2 ** 3333
+        with pytest.raises(CapExceeded, match="Milnor part over Qbar: 10002 bits exceeds the cap of 10000"):
+            kmw_normal_form(kmw_scale(3334, kmw_bracket(QC, 2)))
 
     def test_eta_multiples_die_in_degree_one(self):
         x = kmw_mul(kmw_eta(QC), kmw_mul(kmw_bracket(QC, 2), kmw_bracket(QC, 3)))

@@ -32,6 +32,7 @@ from ehpcalc.simplicial import (
     sset_loads,
     smash,
     smash_class,
+    smash_size,
     smash_with_pairs,
     suspension,
     wedge,
@@ -149,6 +150,19 @@ class TestConstructors:
         assert [len(S2.generators(d)) for d in range(3)] == [1, 0, 1]
         with pytest.raises(DomainError):
             build_sphere(-1)
+
+    def test_sphere_dimension_cap(self):
+        assert build_sphere(200).dim_of("e200") == 200
+        with pytest.raises(CapExceeded, match=f"sphere: dimension 3000 exceeds the cap of {simplicial.SPHERE_DIM_CAP}"):
+            build_sphere(3000)
+
+    def test_smash_size_counts_without_building(self):
+        def dims(K):
+            return [d for n, d in K.gens if n != K.basepoint]
+
+        for A, B in itertools.product(TEST_COMPLEXES + [wedge(S0, S2)], repeat=2):
+            expected = 1 + sum(shuffle_count(dims(A), dims(B), n) for n in range(A.max_dim + B.max_dim + 1))
+            assert smash_size(A, B) == expected == smash(A, B).n_generators
 
     def test_product_counts_match_shuffle_oracle(self):
         for A, B in [(S1, S1), (S1, S2), (S0, S0), (S2, S2)]:
