@@ -8,8 +8,8 @@ produce byte-identical output. Exit codes: 0 success, 1 domain error,
 The argument parser is built once, at import, by build_parser. The
 expression grammars share their front end: _scan splits a string into
 tokens, _Cursor walks them, _fold reads a chain of one left-associative
-operator, _signed_sum reads terms joined by + and -, and _fraction is the
-one reader of rational numbers.
+operator, _signed_sum reads terms joined by + and -, and _int and
+_fraction are the one readers of integers and rational numbers.
 """
 
 import argparse
@@ -31,8 +31,9 @@ from .ehp import (
     known_results_table,
     signed_preimages,
 )
-from .errors import DomainError, ExprParseError, NormalFormUnavailable
+from .errors import CapExceeded, DomainError, ExprParseError, NormalFormUnavailable
 from .gw import (
+    DIGITS_CAP,
     finite_odd,
     gw_add,
     gw_invariants,
@@ -80,7 +81,7 @@ def parse_field(text: str):
     if t in ("rationals", "q"):
         return rationals()
     if re.fullmatch(r"f\d+", t):
-        return finite_odd(int(t[1:]))
+        return finite_odd(_int(t[1:], "field size"))
     raise ExprParseError(f"unknown field {text!r}")
 
 
@@ -162,7 +163,19 @@ def _signed_sum(cur, term, add, neg):
     return total
 
 
+def _int(digits: str, what: str) -> int:
+    """An integer token, refused past DIGITS_CAP digits."""
+    if len(digits.lstrip("+-")) > DIGITS_CAP:
+        raise CapExceeded(f"{what}: {len(digits.lstrip('+-'))} digits exceed the cap of {DIGITS_CAP}")
+    return int(digits)
+
+
 def _fraction(body: str, what: str) -> Fraction:
+    # a decimal exponent may not carry the value past DIGITS_CAP digits,
+    # which Fraction would expand before any other bound is reached
+    decimal = re.fullmatch(r"\s*([-+]?[\d_.]*)[eE]([-+]?\d+(?:_\d+)*)\s*", body)
+    if decimal and len(decimal[1]) + abs(_int(decimal[2], f"{what} exponent")) >= DIGITS_CAP:
+        raise CapExceeded(f"{what}: the decimal exponent gives more than {DIGITS_CAP} digits")
     try:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
@@ -186,7 +199,7 @@ def _space_level(cur) -> int:
     tok = cur.take()
     if not tok.isdigit():
         raise ExprParseError(f"expected a level, found {tok!r}")
-    return int(tok)
+    return _int(tok, "level")
 
 
 def _space_atom(cur) -> SSet:
@@ -198,7 +211,7 @@ def _space_atom(cur) -> SSet:
     if tok == "pt":
         return point()
     if tok[0] == "S" and tok[1:].isdigit():
-        return build_sphere(int(tok[1:]))
+        return build_sphere(_int(tok[1:], "sphere dimension"))
     if tok in ("J", "Q"):
         cur.take("(")
         K = cur.nested(_space_sum)
@@ -240,7 +253,7 @@ def parse_word(text: str, dim=None) -> JamesWord:
         for op in ops:
             if not re.fullmatch(r"s\d+", op):
                 raise ExprParseError(f"bad degeneracy operator {op!r}")
-        letters.append((tuple(int(op[1:]) for op in ops), name))
+        letters.append((tuple(_int(op[1:], "degeneracy") for op in ops), name))
     word_dim = dim if dim is not None else 1 + max(len(ops) for ops, _ in letters)
     base_dims: dict = {}
     for ops, name in letters:
@@ -278,7 +291,7 @@ def parse_gw_expr(text: str, field):
             unit = 1
         else:
             raise ExprParseError("expected <unit>")
-        return gw_make(field, [(int(coeff or 1), unit)])
+        return gw_make(field, [(_int(coeff, "coefficient") if coeff else 1, unit)])
 
     return _signed_sum(_Cursor(_scan(text, _GW_RE, "form"), "form"), term, gw_add, gw_neg)
 
@@ -299,7 +312,7 @@ def parse_kmw_expr(text: str, field):
         if tok.startswith("<"):
             return kmw_form(field, _fraction(tok[1:-1], "entry"))
         if tok.isdigit():
-            return kmw_scalar(field, int(tok))
+            return kmw_scalar(field, _int(tok, "scalar"))
         raise ExprParseError(f"unexpected token {tok!r}")
 
     product_term = partial(_fold, op="*", operand=unit, combine=kmw_mul)
@@ -323,7 +336,7 @@ def _sheaf_int(cur) -> int:
     tok = cur.take()
     if not re.fullmatch(r"-?\d+", tok):
         raise ExprParseError(f"expected an integer, found {tok!r}")
-    return int(tok)
+    return _int(tok, "integer")
 
 
 def _sheaf_atom(cur) -> SheafExpr:
@@ -353,7 +366,7 @@ def _sheaf_atom(cur) -> SheafExpr:
     else:
         raise ExprParseError(f"unexpected token {tok!r}")
     while cur.peek().startswith("_{"):
-        v = int(cur.take()[2:-1])
+        v = _int(cur.take()[2:-1], "subscript")
         if v > 0:
             raise ExprParseError("subscripts denote contraction; write _{-j}")
         e = contraction(e, -v)
@@ -367,7 +380,7 @@ def parse_sphere(text: str) -> SphereBidegree:
     m = re.fullmatch(r"S\[(\d+)(?:\+(\d+)a)?\]", "".join(text.split()))
     if not m:
         raise ExprParseError(f"bad sphere {text!r}; write S[n] or S[n+qa]")
-    return SphereBidegree(int(m.group(1)), int(m.group(2) or 0))
+    return SphereBidegree(_int(m.group(1), "sphere degree"), _int(m.group(2) or "0", "sphere weight"))
 
 
 # -- subcommands

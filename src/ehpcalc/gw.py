@@ -34,6 +34,11 @@ DLOG_TABLES_KEPT = 8
 # over Qbar: its product then prints in under 4,300 decimal digits, the
 # interpreter's limit on converting an int to a string.
 MILNOR_BITS_CAP = 10_000
+# Most decimal digits of an integer read or printed: the interpreter refuses
+# to convert longer ints to or from strings. Coefficients of forms and of
+# symbols are held below it, so every result prints.
+DIGITS_CAP = 4300
+_TOO_MANY_DIGITS = 10**DIGITS_CAP
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -433,12 +438,20 @@ class GWElement:
         return out or "0"
 
 
+def _check_digits(coefficients) -> None:
+    """Refuse coefficients of more than DIGITS_CAP digits, which would not print."""
+    for n in coefficients:
+        if abs(n) >= _TOO_MANY_DIGITS:
+            raise CapExceeded(f"coefficient of {n.bit_length()} bits exceeds the cap of {DIGITS_CAP} digits")
+
+
 def _element(field: Field, pairs) -> GWElement:
     """Normal form of the sum of n<rep> over the (rep, n) pairs."""
     net: dict = {}
     for rep, n in pairs:
         net[rep] = net.get(rep, 0) + n
     net = field.ops.normalize(net)
+    _check_digits(net.values())
     return GWElement(field, tuple(
         (SquareClass(field, rep), net[rep]) for rep in sorted(net, key=_class_key) if net[rep]
     ))

@@ -1,12 +1,11 @@
 """Integer chain complexes, Smith normal form, reduced homology.
 
-Reduced homology works on sparse boundary columns, one {row: coeff} dict per
-generator, and never builds a dense matrix. Each boundary is reduced by
-eliminating its +-1 pivots with sparse column operations (Kaczynski-Mrozek-
-Slusarek; Dumas-Heckenbach-Saunders-Welker), each pivot an invariant factor 1;
-whatever is left is passed densely to smith_normal_form, whose factors finish
-the list. smith_normal_form itself stays the certified API: it returns U and V
-with U*M*V diagonal.
+One sparse elimination, _smith, serves both: on sparse columns, one
+{row: coeff} dict each, it takes the +-1 pivots first (Kaczynski-Mrozek-
+Slusarek; Dumas-Heckenbach-Saunders-Welker), then Euclid steps on the
+smallest entry. reduced_homology reads its invariant factors off the
+boundary columns and never builds a dense matrix; smith_normal_form asks it
+for certificates too, U and V with U*M*V = diag(factors).
 """
 from __future__ import annotations
 
@@ -62,105 +61,6 @@ class IntegerMatrix:
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
-
-
-def smith_normal_form(M: IntegerMatrix) -> tuple[list[int], IntegerMatrix, IntegerMatrix]:
-    """Diagonalize M over Z: returns (invariant factors, U, V) with U*M*V diagonal.
-
-    Invariant factors are positive and each divides the next.  Pivot choice is
-    the smallest nonzero entry in absolute value, ties broken in row-major
-    order, which makes the elimination deterministic.
-    """
-    A = [list(row) for row in M.entries]
-    n, m = M.rows, M.cols
-    U = [list(row) for row in IntegerMatrix.identity(n).entries]
-    V = [list(row) for row in IntegerMatrix.identity(m).entries]
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def pivot_at(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(n, m):
-        pos = pivot_at(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # clear column t, re-selecting a smaller pivot whenever a
-            # remainder turns up
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility fix: pull a non-divisible entry into row t
-            culprit = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, n)
-                    for j in range(t + 1, m)
-                    if A[i][j] % A[t][t] != 0
-                ),
-                None,
-            )
-            if culprit is None:
-                break
-            add_row(t, culprit[0], 1)
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-            U[t] = [-v for v in U[t]]
-        t += 1
-
-    factors = [A[i][i] for i in range(min(n, m)) if A[i][i] != 0]
-    return (
-        factors,
-        IntegerMatrix.from_rows(U, n),
-        IntegerMatrix.from_rows(V, m),
-    )
 
 
 @dataclass(frozen=True)
@@ -325,23 +225,43 @@ def normalized_chain_complex(K: SSet, reduced: bool = False) -> ChainComplex:
     return ChainComplex(gens, tuple(boundaries))
 
 
-def _eliminate_unit_pivots(columns: Columns) -> tuple[int, Columns]:
-    """Eliminate +-1 pivots by sparse column operations.
+def _add(vecs: dict[int, dict[int, int]], dst: int, src: int, a: int) -> None:
+    """vecs[dst] += a * vecs[src]; a vector never touched is the unit vector."""
+    d = vecs.setdefault(dst, {dst: 1})
+    for i, v in vecs.get(src, {src: 1}).items():
+        w = d.get(i, 0) + a * v
+        if w:
+            d[i] = w
+        else:
+            del d[i]
 
-    Pivots are taken shortest column first and, within it, on the shortest
-    row (Markowitz-style), to keep fill-in low. A pivot's row is cleared from
-    every other column, after which its row and column split off as an
-    invariant factor 1. Returns the number of pivots and the nonempty columns
-    left, which hold no +-1 entry and carry the remaining invariant factors.
+
+def _smith(columns: Columns, certify: bool = False):
+    """Smith normal form of the matrix with the given sparse columns: the
+    pivots (row, col, value) in the order taken, whose absolute values are
+    the invariant factors, each dividing the next, and U and V.
+
+    First +-1 pivots clear their rows from the other columns, shortest column
+    first and within it on the shortest row (Markowitz-style, to keep fill-in
+    low). With none left, the smallest entry is the pivot: a remainder in its
+    column or row becomes the next pivot (Euclid), and a row with an entry
+    the pivot does not divide is added to its row. With certify, the row
+    operations go into the sparse rows of U and the column operations into
+    the sparse columns of V (a vector never touched is a unit vector), so
+    U*M*V holds each pivot's value in its place, and after each pivot of
+    the Euclid stage the rows left are size-reduced against each other,
+    which keeps U and V small; otherwise U and V stay empty.
     """
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
     for j, c in cols.items():
         for r in c:
             rows.setdefault(r, set()).add(j)
+    U: dict[int, dict[int, int]] = {}
+    V: dict[int, dict[int, int]] = {}
+    pivots = []
     heap = [(len(c), j) for j, c in cols.items()]
     heapq.heapify(heap)
-    units = 0
     while heap:
         size, j = heapq.heappop(heap)
         c = cols.get(j)
@@ -366,26 +286,101 @@ def _eliminate_unit_pivots(columns: Columns) -> tuple[int, Columns]:
                 else:
                     del ck[s]
                     rows[s].discard(k)
+            if certify:
+                _add(V, k, j, -q)
             if ck:
                 heapq.heappush(heap, (len(ck), k))
             else:
                 del cols[k]
         for s in c:
             rows[s].discard(j)
+        if certify:
+            for s, v in c.items():
+                _add(U, s, r, -v * p)  # row r now meets column j only
         del cols[j]
-        units += 1
-    return units, list(cols.values())
+        pivots.append((r, j, p))
+
+    def add(cells, a):  # cols[k][s] += a * v over the (k, s, v) cells
+        for k, s, v in cells:
+            ck = cols[k]
+            w = ck.get(s, 0) + a * v
+            if w:
+                if s not in ck:
+                    rows[s].add(k)
+                ck[s] = w
+            else:
+                del ck[s]
+                rows[s].discard(k)
+
+    def add_col(k, j, a):  # column k += a * column j
+        add([(k, s, v) for s, v in cols[j].items()], a)
+        if certify:
+            _add(V, k, j, a)
+
+    def add_row(s, r, a):  # row s += a * row r
+        add([(k, s, cols[k][r]) for k in rows[r]], a)
+        if certify:
+            _add(U, s, r, a)
+
+    while entries := [(abs(v), r, j) for j, c in cols.items() for r, v in c.items()]:
+        _, r, j = min(entries)
+        while True:
+            c = cols[j]
+            p = c[r]
+            if (s := next((s for s in c if s != r), None)) is not None:
+                if q := c[s] // p:
+                    add_row(s, r, -q)
+                if s in c:
+                    r = s  # the remainder is the smaller pivot
+            elif (k := next((k for k in rows[r] if k != j), None)) is not None:
+                if q := cols[k][r] // p:
+                    add_col(k, j, -q)
+                if r in cols[k]:
+                    j = k
+            elif (s := next((s for k, ck in cols.items() if k != j
+                             for s, v in ck.items() if v % p), None)) is not None:
+                add_row(r, s, 1)
+            else:
+                break
+        del cols[j], rows[r]
+        pivots.append((r, j, p))
+        if certify:
+            live = [s for s, ks in rows.items() if ks]
+            shrunk = True
+            while shrunk:  # subtract the nearest multiple of another row while that shortens a row
+                shrunk = False
+                for a in live:
+                    for b in live:
+                        vb = {k: cols[k][b] for k in rows[b]}
+                        nb = sum(v * v for v in vb.values())
+                        dot = sum(v * cols[k].get(a, 0) for k, v in vb.items())
+                        q = (2 * dot + nb) // (2 * nb) if a != b and nb else 0
+                        if q and 2 * q * dot > q * q * nb:
+                            add_row(a, b, -q)
+                            shrunk = True
+    return pivots, U, V
 
 
-def _invariant_factors(columns: Columns) -> list[int]:
-    """Invariant factors of the matrix with the given sparse columns."""
-    units, rest = _eliminate_unit_pivots(columns)
-    factors = [1] * units
-    if rest:
-        row_ids = sorted({r for c in rest for r in c})
-        dense = [[c.get(r, 0) for c in rest] for r in row_ids]
-        factors += smith_normal_form(IntegerMatrix.from_rows(dense, len(rest)))[0]
-    return factors
+def smith_normal_form(M: IntegerMatrix) -> tuple[list[int], IntegerMatrix, IntegerMatrix]:
+    """Diagonalize M over Z: returns (invariant factors, U, V) with U*M*V diagonal.
+
+    Invariant factors are positive and each divides the next; U*M*V is
+    diag(factors) padded with zeros, and U and V are unimodular.
+    """
+    n, m = M.rows, M.cols
+    columns = [{i: row[j] for i, row in enumerate(M.entries) if row[j]} for j in range(m)]
+    pivots, U, V = _smith(columns, certify=True)
+    for r, _, d in pivots:
+        if d < 0:
+            U[r] = {i: -v for i, v in U.get(r, {r: 1}).items()}
+
+    def moved(vecs, front, size):  # the pivot vectors first, then the others in order
+        order = front + sorted(set(range(size)) - set(front))
+        return [[vecs.get(i, {i: 1}).get(t, 0) for t in range(size)] for i in order]
+
+    V_cols = moved(V, [j for _, j, _ in pivots], m)
+    return ([abs(d) for _, _, d in pivots], IntegerMatrix.from_rows(moved(U, [r for r, _, _ in pivots], n), n),
+            IntegerMatrix.from_rows(list(zip(*V_cols)), m))
 
 
 def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
@@ -400,7 +395,7 @@ def _reduced_homology_items(K: SSet) -> tuple[tuple[int, HomologyGroup], ...]:
     ranks = [0] * (len(gens) + 1)
     torsion: list[tuple[int, ...]] = [()] * len(gens)
     for n in range(1, len(gens)):
-        factors = _invariant_factors(columns[n])
+        factors = [abs(d) for _, _, d in _smith(columns[n])[0]]
         ranks[n] = len(factors)
         # factors of the boundary out of degree n give torsion one degree down
         torsion[n - 1] = tuple(d for d in factors if d > 1)

@@ -9,6 +9,7 @@ from math import comb
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
+    SMASH_POWER_CAP,
     SMap,
     SSet,
     Simplex,
@@ -27,10 +28,8 @@ from .simplicial import (
 )
 
 TRUNCATION_CAP = 2000
-# Largest smash power built, in generators (the cube of a wedge of eight
-# circles has 6,657), and in factors: a power of S^0 keeps two generators
-# while their names grow with the number of factors.
-SMASH_POWER_CAP = 25_000
+# Most factors of a smash power: a power of S^0 keeps two generators while
+# their names grow with the number of factors.
 SMASH_FACTOR_CAP = 1000
 
 

@@ -18,6 +18,7 @@ from .gw import (
     Field,
     GWElement,
     WittClass,
+    _check_digits,
     gw_add,
     gw_equal,
     gw_make,
@@ -92,6 +93,7 @@ def _build(field: Field, items) -> KMWSymbol:
             raise DomainError("terms must share one degree")
         key = (s, tuple(letters))
         acc[key] = acc.get(key, 0) + coeff
+    _check_digits(acc.values())
     terms = tuple(
         (coeff, mono) for mono, coeff in sorted(acc.items()) if coeff != 0
     )

@@ -32,6 +32,9 @@ ISO_NODE_BUDGET = 200_000
 # S^n holds n + 1 words of length n - 1, and building and checking it takes
 # memory growing about as n^3.
 SPHERE_DIM_CAP = 256
+# Largest product, smash or smash power built, in generators (the cube of a
+# wedge of eight circles has 6,657); each is counted before it is built.
+SMASH_POWER_CAP = 25_000
 
 
 def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -332,6 +335,27 @@ def _shuffle_words(n: int, p: int) -> tuple[tuple[int, ...], ...]:
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
 
 
+def _pair_count(A: SSet, B: SSet, basepoints: bool) -> int:
+    """Number of jointly nondegenerate pairs over the generator pairs of A
+    and B, from the two dimension censuses, basepoints kept or left out.
+
+    Generators a, b of dimensions p, q give one pair per n in [max(p, q),
+    p + q] and per disjoint pair of degeneracy words: C(n, p) choices for
+    the word on a, then C(p, n - q) for the word on b in the rest.
+    """
+    def census(K: SSet) -> Counter:
+        return Counter(d for name, d in K.gens if basepoints or name != K.basepoint)
+
+    return sum(
+        ca * cb * sum(math.comb(n, p) * math.comb(p, n - q) for n in range(max(p, q), p + q + 1))
+        for p, ca in census(A).items() for q, cb in census(B).items())
+
+
+def _check_size(stage: str, size: int) -> None:
+    if size > SMASH_POWER_CAP:
+        raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
+
+
 def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, keep) -> tuple[SSet, PairTable]:
     """The jointly nondegenerate pairs (x, y) of A x B over generator pairs
     that keep accepts, each named "(x<sep>y)", with faces class_of(d_i x, d_i y)."""
@@ -358,6 +382,8 @@ def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, keep) ->
 @functools.lru_cache(maxsize=None)
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
+    _check_size("product", _pair_count(A, B, basepoints=True))
+
     def class_of(x: Simplex, y: Simplex) -> Simplex:
         word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
         return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
@@ -439,6 +465,7 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core, named "(x^y)"; a face whose joint normal form has a
     basepoint core lands on the basepoint "*".
     """
+    _check_size("smash", smash_size(A, B))
     return _pair_complex(
         A, B, "*", "^", lambda x, y: _smash_class(A, B, x, y),
         lambda a, b: a != A.basepoint and b != B.basepoint)
@@ -449,18 +476,9 @@ def smash(A: SSet, B: SSet) -> SSet:
 
 
 def smash_size(A: SSet, B: SSet) -> int:
-    """Generator count of smash(A, B) from the two dimension censuses.
-
-    Generators a, b of dimensions p, q give one cell per n in [max(p, q),
-    p + q] and per disjoint pair of degeneracy words: C(n, p) choices for
-    the word on a, then C(p, n - q) for the word on b in the rest.
-    """
-    def census(K: SSet) -> Counter:
-        return Counter(d for name, d in K.gens if name != K.basepoint)
-
-    return 1 + sum(
-        ca * cb * sum(math.comb(n, p) * math.comb(p, n - q) for n in range(max(p, q), p + q + 1))
-        for p, ca in census(A).items() for q, cb in census(B).items())
+    """Generator count of smash(A, B) from the two dimension censuses: the
+    pairs of non-basepoint generators, and the basepoint."""
+    return 1 + _pair_count(A, B, basepoints=False)
 
 
 def _smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:

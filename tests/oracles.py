@@ -102,6 +102,91 @@ def gcd_of_minors(matrix: list[list[int]], k: int) -> int:
     return g
 
 
+def reference_smith_normal_form(matrix: list[list[int]], cols: int):
+    """Dense Smith normal form: (invariant factors, U, V) with U*M*V diagonal.
+
+    The straightforward dense algorithm, kept as a reference for the sparse
+    engine: the pivot is the smallest nonzero entry (row-major ties), its
+    column and row are cleared by Euclid steps, and a row with an entry the
+    pivot does not divide is added to the pivot row. Its U and V can grow
+    very large on dense input.
+    """
+    A = [list(row) for row in matrix]
+    n, m = len(A), cols
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def swap_rows(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, c):
+        for row in A:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    def pivot_at(t):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                v = A[i][j]
+                if v != 0 and (best is None or abs(v) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(n, m):
+        pos = pivot_at(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, n):
+                if A[i][t] != 0:
+                    add_row(i, t, -(A[i][t] // A[t][t]))
+                    if A[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, m):
+                if A[t][j] != 0:
+                    add_col(j, t, -(A[t][j] // A[t][t]))
+                    if A[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            culprit = next(
+                (i for i in range(t + 1, n) for j in range(t + 1, m) if A[i][j] % A[t][t] != 0),
+                None,
+            )
+            if culprit is None:
+                break
+            add_row(t, culprit, 1)
+        if A[t][t] < 0:
+            A[t] = [-v for v in A[t]]
+            U[t] = [-v for v in U[t]]
+        t += 1
+    factors = [A[i][i] for i in range(min(n, m)) if A[i][i] != 0]
+    return factors, U, V
+
+
 def representation_counts(q: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """How often the diagonal form sum(a_i x_i^2) takes each value of F_q.
 

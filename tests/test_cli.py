@@ -572,10 +572,32 @@ GOLDEN_ERRORS = [
     (['ehp', 'sequence', '--sphere', 'S[2+a]'], 2, "parse error: bad sphere 'S[2+a]'; write S[n] or S[n+qa]\n"),
     (['ehp', 'sequence', '--sphere', 'T[2]'], 2, "parse error: bad sphere 'T[2]'; write S[n] or S[n+qa]\n"),
     (['ehp', 'sequence', '--sphere', 'S[0]'], 1, 'error: the sequence needs simplicial degree >= 2\n'),
+    (['homology', '--space', 'S12^S12'], 1, 'error: smash: 251595970 generators, over the cap of 25000\n'),
+    (['homology', '--space', 'S4xS4xS4'], 1, 'error: product: 700088 generators, over the cap of 25000\n'),
+    (['gw', '--expr', '<1e100000000>', '--field', 'q'], 1,
+     'error: unit: the decimal exponent gives more than 4300 digits\n'),
+    (['gw', '--expr', '<1e' + '9' * 5000 + '>', '--field', 'q'], 1,
+     'error: unit exponent: 5000 digits exceed the cap of 4300\n'),
+    (['kmw', '--expr', '[1e4299]', '--field', 'qbar'], 1,
+     'error: entry: the decimal exponent gives more than 4300 digits\n'),
+    (['gw', '--expr', '9' * 5000 + '<1>', '--field', 'f5'], 1,
+     'error: coefficient: 5000 digits exceed the cap of 4300\n'),
+    (['gw', '--expr', '+'.join(['9' * 4300 + '<1>'] * 3), '--field', 'f5'], 1,
+     'error: coefficient of 14286 bits exceeds the cap of 4300 digits\n'),
+    (['kmw', '--expr', '*'.join(['9' * 1000] * 6), '--field', 'q'], 1,
+     'error: coefficient of 16610 bits exceeds the cap of 4300 digits\n'),
+    (['homology', '--space', 'S' + '9' * 5000], 1, 'error: sphere dimension: 5000 digits exceed the cap of 4300\n'),
+    (['gw', '--expr', '<1>', '--field', 'f' + '9' * 5000], 1, 'error: field size: 5000 digits exceed the cap of 4300\n'),
+    (['tensor', '--expr', 'KM(' + '9' * 5000 + ')'], 1, 'error: integer: 5000 digits exceed the cap of 4300\n'),
+    (['hopf', '--word', 's' + '9' * 5000 + ' x', '-r', '1'], 1, 'error: degeneracy: 5000 digits exceed the cap of 4300\n'),
 ]
 
 
-@pytest.mark.parametrize("argv, code, err", GOLDEN_ERRORS, ids=[" ".join(a) for a, _, _ in GOLDEN_ERRORS])
+def _golden_id(argv):
+    return " ".join(a if len(a) <= 60 else f"<{len(a)} characters>" for a in argv)
+
+
+@pytest.mark.parametrize("argv, code, err", GOLDEN_ERRORS, ids=[_golden_id(a) for a, _, _ in GOLDEN_ERRORS])
 def test_golden_errors(argv, code, err, capsys):
     assert run_cli(argv, capsys) == (code, "", err)
 
@@ -607,6 +629,9 @@ def _limit_address_space():
     ["hopf", "--word", "x|y", "-r", "3000"],
     ["hopf", "--word", "x|y", "-r", "6"],
     ["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"],
+    ["homology", "--space", "S12^S12"],
+    ["homology", "--space", "S4xS4xS4"],
+    ["gw", "--expr", "<1e100000000>", "--field", "q"],
 ], ids=" ".join)
 def test_bounded_inputs_end_cleanly_in_a_child(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))

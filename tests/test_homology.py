@@ -14,7 +14,7 @@ from ehpcalc.homology import (
     IntegerMatrix,
     euler_characteristic,
     homology_to_doc,
-    _invariant_factors,
+    _smith,
     normalized_chain_complex,
     reduced_homology,
     smith_normal_form,
@@ -22,7 +22,13 @@ from ehpcalc.homology import (
 from ehpcalc.james import smash_power
 from ehpcalc.simplicial import SSet, Simplex, build_sphere, point, product, smash, suspension, wedge
 
-from oracles import gcd_of_minors, homology_ranks_from_chains, integer_det, rational_rank
+from oracles import (
+    gcd_of_minors,
+    homology_ranks_from_chains,
+    integer_det,
+    rational_rank,
+    reference_smith_normal_form,
+)
 
 S0, S1, S2, S3 = (build_sphere(n) for n in range(4))
 
@@ -108,6 +114,26 @@ class TestSmithNormalForm:
         Q = random_unimodular(rng, cols)
         assert smith_normal_form(P @ M @ Q)[0] == smith_normal_form(M)[0]
 
+    def test_dense_draws_certify_with_small_entries(self):
+        # Dense draws whose certificates once grew to 409,237 bits: thirty
+        # 11 x 11 matrices drawn after thirty each of sizes 3 to 10, then
+        # thirty 12 x 12 ones from the same stream.
+        rng = random.Random(1)
+        for n in range(3, 11):
+            for _ in range(30):
+                random_matrix(rng, n, n)
+        for n in (11, 12):
+            for _ in range(30):
+                M = random_matrix(rng, n, n)
+                factors, U, V = smith_normal_form(M)
+                D = U @ M @ V
+                assert D.entries == tuple(
+                    tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(n))
+                    for i in range(n))
+                assert abs(integer_det([list(r) for r in U.entries])) == 1
+                assert abs(integer_det([list(r) for r in V.entries])) == 1
+                assert max(abs(v).bit_length() for X in (U, V) for r in X.entries for v in r) < 64 * n
+
 
 SPARSE_ENTRIES = (0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6)
 
@@ -120,16 +146,21 @@ def sparse_matrices(draw):
     return [[draw(cell) for _ in range(cols)] for _ in range(rows)], cols
 
 
+def sparse_factors(columns):
+    return [abs(d) for _, _, d in _smith(columns)[0]]
+
+
 class TestUnitPivotElimination:
-    """The sparse path of reduced_homology against dense Smith and the oracles."""
+    """The sparse engine behind reduced_homology against the dense reference
+    Smith form and the oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(sparse_matrices())
     def test_factors_match_dense_smith(self, drawn):
         mat, cols = drawn
         columns = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(cols)]
-        factors = _invariant_factors(columns)
-        assert factors == smith_normal_form(IntegerMatrix.from_rows(mat, cols))[0]
+        factors = sparse_factors(columns)
+        assert factors == reference_smith_normal_form(mat, cols)[0]
         assert len(factors) == rational_rank(mat)
         # d_1 ... d_k is the gcd of the k x k minors; skip k with too many minors
         prod = 1
@@ -139,10 +170,13 @@ class TestUnitPivotElimination:
                 assert prod == gcd_of_minors(mat, k)
 
     def test_remainder_is_reduced_densely(self):
-        # no +-1 entry at all, so everything goes through dense Smith
-        assert _invariant_factors([{0: 2, 1: 4}, {0: 6, 1: 2}]) == [2, 10]
-        assert _invariant_factors([{0: 2}, {}, {1: 3}]) == [1, 6]
-        assert _invariant_factors([]) == []
+        # no +-1 entry at all, so everything goes through the Euclid stage
+        cases = [([{0: 2, 1: 4}, {0: 6, 1: 2}], [[2, 6], [4, 2]], [2, 10]),
+                 ([{0: 2}, {}, {1: 3}], [[2, 0, 0], [0, 0, 3]], [1, 6]),
+                 ([], [], [])]
+        for columns, mat, factors in cases:
+            assert sparse_factors(columns) == factors
+            assert reference_smith_normal_form(mat, len(columns))[0] == factors
 
     def test_large_smash_power(self):
         assert reduced_homology(smash_power(S1, 6)) == {6: HomologyGroup(1)}

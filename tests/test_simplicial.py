@@ -164,6 +164,18 @@ class TestConstructors:
             expected = 1 + sum(shuffle_count(dims(A), dims(B), n) for n in range(A.max_dim + B.max_dim + 1))
             assert smash_size(A, B) == expected == smash(A, B).n_generators
 
+    def test_products_and_smashes_counted_before_built(self):
+        S4, S12 = build_sphere(4), build_sphere(12)
+        with pytest.raises(CapExceeded, match=f"smash: 251595970 generators, over the cap of {simplicial.SMASH_POWER_CAP}"):
+            smash(S12, S12)
+        S4xS4 = product(S4, S4)
+        with pytest.raises(CapExceeded, match=f"product: 700088 generators, over the cap of {simplicial.SMASH_POWER_CAP}"):
+            product(S4xS4, S4)
+        da = [d for _, d in S4xS4.gens]
+        assert sum(shuffle_count(da, [0, 4], n) for n in range(13)) == 700088
+        assert product(product(S2, S2), S2).n_generators == sum(
+            shuffle_count([d for _, d in product(S2, S2).gens], [0, 2], n) for n in range(7))
+
     def test_product_counts_match_shuffle_oracle(self):
         for A, B in [(S1, S1), (S1, S2), (S0, S0), (S2, S2)]:
             P = product(A, B)
