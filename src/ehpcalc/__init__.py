@@ -26,7 +26,6 @@ from .simplicial import (
     is_isomorphic,
     point,
     product,
-    rename,
     simplex_token,
     smash,
     suspension,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
@@ -18,7 +17,6 @@ from .simplicial import (
     collapse,
     degenerate,
     face,
-    is_isomorphic,
     joint_normal_form,
     shared_degeneracies,
     simplex_token,
@@ -133,31 +131,48 @@ def _word_simplex(w: JamesWord) -> Simplex:
     return _simplex(word_token(core), word, w.dim)
 
 
+def _word_complex(seeds, cap: int, too_big: str) -> tuple[SSet, dict[str, JamesWord]]:
+    """The pointed complex spanned by nondegenerate words given as (token,
+    word) pairs, closed under word_face, with basepoint the empty word "*".
+    CapExceeded(too_big) is raised when a generator past the cap is added."""
+    dims: dict[str, int] = {"*": 0}
+    words: dict[str, JamesWord] = {}
+    faces: dict[str, tuple[Simplex, ...]] = {}
+    todo: list[tuple[str, JamesWord]] = []
+
+    def add(tok: str, w: JamesWord) -> str:
+        if tok not in dims:
+            if len(dims) >= cap:
+                raise CapExceeded(too_big)
+            dims[tok], words[tok] = w.dim, w
+            todo.append((tok, w))
+        return tok
+
+    for tok, w in seeds:
+        add(tok, w)
+    while todo:
+        name, w = todo.pop()
+        if w.dim > 0:
+            cores = [word_normal_form(word_face(w, i)) for i in range(w.dim + 1)]
+            faces[name] = tuple(_simplex(add(word_token(c), c), word, w.dim - 1) for word, c in cores)
+    return SSet.build("*", dims, faces), words
+
+
 @lru_cache(maxsize=None)
 def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
     if n < 1:
         raise DomainError("truncation level must be >= 1")
-    names: dict[str, int] = {"*": 0}
-    found: dict[str, JamesWord] = {}
-    count = 1
-    for m in range(n * K.max_dim + 1):
-        letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
-        for ell in range(1, n + 1):
-            for combo in itertools.product(letters, repeat=ell):
-                w = _word(K, m, combo)
-                if word_is_degenerate(w):
-                    continue
-                count += 1
-                if count > cap:
-                    raise CapExceeded(f"truncation exceeds {cap} generators")
-                tok = word_token(w)
-                names[tok] = m
-                found[tok] = w
-    faces = {}
-    for name, w in found.items():
-        if w.dim > 0:
-            faces[name] = tuple(_word_simplex(word_face(w, i)) for i in range(w.dim + 1))
-    return SSet.build("*", names, faces), found
+
+    def seeds():
+        for m in range(n * K.max_dim + 1):
+            letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
+            for ell in range(1, n + 1):
+                for combo in itertools.product(letters, repeat=ell):
+                    w = _word(K, m, combo)
+                    if not word_is_degenerate(w):
+                        yield word_token(w), w
+
+    return _word_complex(seeds(), cap, f"truncation exceeds {cap} generators")
 
 
 def james_truncation(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> SSet:
@@ -197,20 +212,19 @@ def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
 
 
 def james_hopf_map(K: SSet, n: int, r: int, cap: int = TRUNCATION_CAP) -> SMap:
-    """Simplexwise subsequence map out of the level-n truncation.
-
-    Target level is C(n, r); when r > n every word is too short and the
-    constant map into level 1 is returned.  Simpliciality is checked by the
-    map constructor, not assumed.
-    """
+    """Simplexwise subsequence map out of the level-n truncation, into the
+    subcomplex of J_{C(n,r)}(K^r) spanned by its images (the point when
+    r > n).  Simpliciality is checked by the map constructor, not assumed."""
     if n < 1 or r < 1:
         raise DomainError("levels must be >= 1")
     J, words = _james_data(K, n, cap)
-    target = smash_power(K, r)
-    T, _ = _james_data(target, max(comb(n, r), 1), cap)
-    images = {"*": T.basepoint_simplex(0)}
+    images, cores = {}, {}
     for name, w in words.items():
-        images[name] = _word_simplex(james_hopf_word(w, r))
+        word, core = word_normal_form(james_hopf_word(w, r))
+        images[name] = _simplex(word_token(core), word, w.dim)
+        cores[images[name].generator] = core
+    T, _ = _word_complex(cores.items(), cap, f"hopf target: more than {cap} generators")
+    images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 
 
@@ -226,13 +240,17 @@ def james_map(f: SMap, n: int, cap: int = TRUNCATION_CAP) -> SMap:
 
 
 def james_quotient(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> tuple[SSet, dict[str, str]]:
-    """Collapse of words shorter than n, with an isomorphism witness onto the
-    n-fold smash power."""
+    """Collapse of words shorter than n, with its isomorphism [x1|...|xn] ->
+    x1^...^xn onto the n-fold smash power as a generator witness: the map is
+    checked simplicial and a bijection onto nondegenerate generators."""
     J, words = _james_data(K, n, cap)
-    kill = {name for name, w in words.items() if len(w) < n}
-    Q = collapse(J, kill)
-    ok, witness = is_isomorphic(Q, smash_power(K, n))
-    if not ok:
+    Q = collapse(J, {name for name, w in words.items() if len(w) < n})
+    P = smash_power(K, n)
+    images = {name: smash_power_class(K, n, w.letters) for name, w in words.items() if len(w) == n}
+    images[Q.basepoint] = P.basepoint_simplex(0)
+    SMap.build(Q, P, images)
+    witness = {name: x.generator for name, x in images.items()}
+    if any(x.word for x in images.values()) or sorted(witness.values()) != sorted(P.generators()):
         raise DomainError("quotient did not match the smash power")
     return Q, witness
 

@@ -441,22 +441,6 @@ def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
     return SSet.build(K.basepoint, dims, faces)
 
 
-def rename(K: SSet, mapping: dict[str, str]) -> SSet:
-    """Rename generators; identity outside the mapping's domain."""
-    def nm(n: str) -> str:
-        return mapping.get(n, n)
-
-    names = [nm(n) for n, _ in K.gens]
-    if len(set(names)) != len(names):
-        raise DomainError("renaming collides generator names")
-    dims = {nm(n): d for n, d in K.gens}
-    faces = {
-        nm(n): tuple(_simplex(nm(f.generator), f.word, f.dim) for f in fs)
-        for n, fs in K.face_table
-    }
-    return SSet.build(nm(K.basepoint), dims, faces)
-
-
 @functools.lru_cache(maxsize=None)
 def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Smash product plus component pairs for the surviving generators.

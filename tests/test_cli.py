@@ -80,11 +80,14 @@ class TestSpaceGrammar:
             assert code == 2
             assert err.startswith("parse error:")
 
-    def test_quotient_past_the_search_budget_is_domain_error(self, capsys):
-        code, out, err = run_cli(["homology", "--space", "Q(S2,3)"], capsys)
+    def test_quotient_past_the_truncation_cap_is_domain_error(self, capsys):
+        code, out, _ = run_cli(["homology", "--space", "Q(S2,3)"], capsys)
+        assert code == 0
+        assert out == "{6: Z}\n"
+        code, out, err = run_cli(["homology", "--space", "Q(S3,3)"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: isomorphism search:")
+        assert err == "error: truncation exceeds 2000 generators\n"
 
     def test_level_zero_is_domain_error(self, capsys):
         code, _, err = run_cli(["james", "--space", "S1", "-n", "0"], capsys)

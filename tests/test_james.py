@@ -135,6 +135,11 @@ class TestTruncation:
         with pytest.raises(CapExceeded):
             james_truncation(S2, 3, cap=50)
 
+    def test_cap_counts_every_generator(self):
+        assert james_truncation(S1, 3, cap=18).n_generators == 18
+        with pytest.raises(CapExceeded, match="^truncation exceeds 17 generators$"):
+            james_truncation(S1, 3, cap=17)
+
     def test_bad_level(self):
         with pytest.raises(DomainError):
             james_truncation(S1, 0)
@@ -222,13 +227,29 @@ class TestHopfMap:
             H = james_hopf_map(K, n, r)
             assert H.source is james_truncation(K, n)
 
-    def test_oversized_target_hits_the_cap(self):
+    def test_target_is_the_image_and_is_capped(self):
+        # J_3(S1^S1) has 4,762 generators; the image spans 17
+        assert james_hopf_map(S1, 3, 2).target.n_generators == 17
+        assert james_hopf_map(S1, 4, 2).source is james_truncation(S1, 4)
         with pytest.raises(CapExceeded):
-            james_hopf_map(S1, 3, 2)
+            james_hopf_map(S1, 3, 2, cap=10)
+
+    def test_target_is_a_subcomplex_of_the_full_truncation(self):
+        for K, n, r in [(S1, 2, 2), (S2, 2, 2), (W, 2, 2), (S0, 4, 2), (S1, 3, 3)]:
+            T = james_hopf_map(K, n, r).target
+            full = james_truncation(smash_power(K, r), comb(n, r))
+            assert T.basepoint == full.basepoint
+            for g in T.generators():
+                assert T.dim_of(g) == full.dim_of(g)
+                if T.dim_of(g) > 0:
+                    assert T.faces_of(g) == full.faces_of(g)
+            # J_4(S0) has words of 0..4 letters, whose pair words have
+            # 0, 0, 1, 3 and 6 letters: 2, 4 and 5 are missed
+            assert (T == full) is (K is not S0)
 
     def test_word_level_commutation_where_the_target_is_large(self):
-        # the subsequence map still commutes with every operator, checked on
-        # words directly when the target complex exceeds the generator cap
+        # the subsequence map commutes with every operator, checked on words
+        # directly, without building a target complex
         for w in james_words(S1, 3).values():
             for i in range(w.dim + 1):
                 if w.dim > 0:
