@@ -45,6 +45,7 @@ from .james import (
     TRUNCATION_CAP,
     JamesWord,
     cartan_word_check,
+    james_census,
     james_hopf_map,
     james_hopf_word,
     james_map,

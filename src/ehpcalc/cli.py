@@ -44,7 +44,7 @@ from .gw import (
     real_closed,
 )
 from .homology import homology_to_doc, reduced_homology
-from .james import JamesWord, james_hopf_word, james_quotient, james_truncation
+from .james import JamesWord, james_census, james_hopf_word, james_quotient, james_truncation
 from .kmw import (
     SheafExpr,
     aone_tensor,
@@ -401,17 +401,13 @@ def cmd_homology(args) -> str:
 
 
 def cmd_james(args) -> str:
-    K = parse_space(args.space)
-    J = james_truncation(K, args.level)
-    counts = {}
-    for _name, d in J.gens:
-        counts[d] = counts.get(d, 0) + 1
+    counts = james_census(parse_space(args.space), args.level)
     text = "{" + ", ".join(f"{d}: {c}" for d, c in sorted(counts.items())) + "}"
     doc = {
         "space": args.space,
         "level": args.level,
         "cells": {str(d): c for d, c in sorted(counts.items())},
-        "generators": J.n_generators,
+        "generators": sum(counts.values()),
     }
     return _render(args, text, doc)
 

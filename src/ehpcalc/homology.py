@@ -84,12 +84,6 @@ class HomologyGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
-        return HomologyGroup(
-            self.free_rank + other.free_rank,
-            _recombine_torsion(self.torsion + other.torsion),
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -98,38 +92,6 @@ class HomologyGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _recombine_torsion(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # invariant factors of the direct sum via primary decomposition
-    by_prime: dict[int, list[int]] = {}
-    for c in coeffs:
-        for p, e in _factorize(c).items():
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    length = max((len(v) for v in by_prime.values()), default=0)
-    out = []
-    for k in range(length):
-        d = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                d *= p ** exps[k]
-        out.append(d)
-    return tuple(reversed(out))
 
 
 # Sparse columns: columns[n][j] is the boundary of generator j of degree n

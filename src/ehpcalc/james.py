@@ -3,6 +3,7 @@ inclusion, word-subsequence invariants, and filtration quotients."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,8 +17,11 @@ from .simplicial import (
     _simplex,
     collapse,
     degenerate,
+    dimension_census,
     face,
     joint_normal_form,
+    nondegenerate_count,
+    nondegenerate_tuples,
     shared_degeneracies,
     simplex_token,
     smash,
@@ -122,7 +126,7 @@ def word_token(w: JamesWord) -> str:
 
 def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     """Shared degeneracy word and the nondegenerate core word under it."""
-    word, cores = joint_normal_form((w.complex,) * len(w.letters), w.letters, w.dim)
+    word, cores = joint_normal_form(w.letters, w.dim)
     return word, _word(w.complex, w.dim - len(word), cores)
 
 
@@ -131,10 +135,10 @@ def _word_simplex(w: JamesWord) -> Simplex:
     return _simplex(word_token(core), word, w.dim)
 
 
-def _word_complex(seeds, cap: int, too_big: str) -> tuple[SSet, dict[str, JamesWord]]:
+def _word_complex(seeds) -> tuple[SSet, dict[str, JamesWord]]:
     """The pointed complex spanned by nondegenerate words given as (token,
-    word) pairs, closed under word_face, with basepoint the empty word "*".
-    CapExceeded(too_big) is raised when a generator past the cap is added."""
+    word) pairs, closed under word_face, with basepoint the empty word "*";
+    callers bound its size before building it."""
     dims: dict[str, int] = {"*": 0}
     words: dict[str, JamesWord] = {}
     faces: dict[str, tuple[Simplex, ...]] = {}
@@ -142,8 +146,6 @@ def _word_complex(seeds, cap: int, too_big: str) -> tuple[SSet, dict[str, JamesW
 
     def add(tok: str, w: JamesWord) -> str:
         if tok not in dims:
-            if len(dims) >= cap:
-                raise CapExceeded(too_big)
             dims[tok], words[tok] = w.dim, w
             todo.append((tok, w))
         return tok
@@ -158,21 +160,41 @@ def _word_complex(seeds, cap: int, too_big: str) -> tuple[SSet, dict[str, JamesW
     return SSet.build("*", dims, faces), words
 
 
-@lru_cache(maxsize=None)
-def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
+def james_census(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> dict[int, int]:
+    """Generators of the level-n truncation per dimension, basepoint
+    included, counted from the census of K without building it;
+    CapExceeded past cap. The cores of l letters, of dimension at most top,
+    cover the m degeneracy indices exactly when l * top >= m, so every term
+    visited is positive and at most cap are visited for any n."""
     if n < 1:
         raise DomainError("truncation level must be >= 1")
+    census = dimension_census(K, basepoint=False)
+    out, total = {0: 1}, 1
+    for m in range(n * K.max_dim + 1):
+        top = max((p for p in census if p <= m), default=-1)
+        if top < 0 or top == 0 < m:
+            continue  # no m-simplices, or only degenerate vertices
+        for ell in range(-(-m // top) if top else 1, n + 1):
+            count = nondegenerate_count([census], m, power=ell)
+            out[m], total = out.get(m, 0) + count, total + count
+            if total > cap:
+                raise CapExceeded(f"truncation exceeds {cap} generators")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
+    census = james_census(K, n, cap)
 
     def seeds():
-        for m in range(n * K.max_dim + 1):
+        for m in census:
             letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
-            for ell in range(1, n + 1):
-                for combo in itertools.product(letters, repeat=ell):
+            for ell in range(1, n + 1) if letters else ():
+                for combo in nondegenerate_tuples([letters] * ell, m):
                     w = _word(K, m, combo)
-                    if not word_is_degenerate(w):
-                        yield word_token(w), w
+                    yield word_token(w), w
 
-    return _word_complex(seeds(), cap, f"truncation exceeds {cap} generators")
+    return _word_complex(seeds())
 
 
 def james_truncation(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> SSet:
@@ -203,6 +225,9 @@ def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
     order, reduced over smash_power."""
     if r < 1:
         raise DomainError("subsequence length must be >= 1")
+    count = math.comb(len(w.letters), r)
+    if count > SMASH_POWER_CAP:
+        raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
     target = smash_power(w.complex, r)
     letters = tuple(
         smash_power_class(w.complex, r, tuple(w.letters[i] for i in idx))
@@ -223,7 +248,7 @@ def james_hopf_map(K: SSet, n: int, r: int, cap: int = TRUNCATION_CAP) -> SMap:
         word, core = word_normal_form(james_hopf_word(w, r))
         images[name] = _simplex(word_token(core), word, w.dim)
         cores[images[name].generator] = core
-    T, _ = _word_complex(cores.items(), cap, f"hopf target: more than {cap} generators")
+    T, _ = _word_complex(cores.items())
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 

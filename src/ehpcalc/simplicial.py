@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -32,8 +33,8 @@ ISO_NODE_BUDGET = 200_000
 # S^n holds n + 1 words of length n - 1, and building and checking it takes
 # memory growing about as n^3.
 SPHERE_DIM_CAP = 256
-# Largest product, smash or smash power built, in generators (the cube of a
-# wedge of eight circles has 6,657); each is counted before it is built.
+# Most generators of a product, smash or smash power, counted before it is
+# built (the cube of a wedge of eight circles has 6,657); most Hopf letters.
 SMASH_POWER_CAP = 25_000
 
 
@@ -274,9 +275,7 @@ def shared_degeneracies(xs: tuple[Simplex, ...], dim: int) -> set[int]:
     return set(xs[0].word).intersection(*(x.word for x in xs[1:]))
 
 
-def joint_normal_form(
-    complexes: tuple[SSet, ...], xs: tuple[Simplex, ...], dim: int
-) -> tuple[tuple[int, ...], tuple[Simplex, ...]]:
+def joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[tuple[int, ...], tuple[Simplex, ...]]:
     """Strip the largest shared degeneracy word off a tuple of simplices.
 
     Returns (word, cores) with xs = s_word applied componentwise to cores
@@ -293,6 +292,46 @@ def joint_normal_form(
         _simplex(x.generator, tuple(j - bisect.bisect(low, j) for j in x.word if j not in shared), dim - len(low))
         for x in xs)
     return tuple(reversed(low)), cores
+
+
+def dimension_census(K: SSet, basepoint: bool) -> dict[int, int]:
+    """Generators of K per dimension, the basepoint counted only if asked."""
+    return Counter(d for name, d in K.gens if basepoint or name != K.basepoint)
+
+
+def nondegenerate_count(censuses, m: int, power: int = 1) -> int:
+    """Jointly nondegenerate m-tuples, one m-simplex from each factor given
+    by its census {dim: generators}, the factor list repeated power times.
+    A p-dimensional generator has C(m - k, p) m-simplices in the image of k
+    given degeneracies, so inclusion-exclusion over the k shared ones gives
+    sum_k (-1)^k C(m, k) prod_i sum_p c_i(p) C(m - k, p), whose product
+    only shrinks as k grows. S1 x S1 has 1 + 3 + 2 generators:
+
+    >>> circle = dimension_census(build_sphere(1), basepoint=True)
+    >>> [nondegenerate_count([circle, circle], m) for m in range(3)]
+    [1, 3, 2]
+    """
+    total, binom = 0, 1  # binom = C(m, k)
+    for k in range(m + 1):
+        size = math.prod(sum(c * math.comb(m - k, p) for p, c in census.items()) for census in censuses)
+        if not size:
+            break
+        total += (-1) ** k * binom * size ** power
+        binom = binom * (m - k) // (k + 1)
+    return total
+
+
+def nondegenerate_tuples(choices, m: int):
+    """The jointly nondegenerate tuples of m-simplices, one from each list of
+    choices, in itertools.product order: with words as bit masks, an entry
+    of the last list completes a prefix when it has none of its shared bits."""
+    lists = {id(xs): xs for xs in choices}  # a list repeated in choices is masked once
+    masked = {key: [(x, sum(1 << i for i in x.word)) for x in xs] for key, xs in lists.items()}
+    *heads, last = [masked[id(xs)] for xs in choices]
+    for prefix in itertools.product(*heads):
+        shared = functools.reduce(operator.and_, (bits for _, bits in prefix), (1 << m) - 1)
+        xs = tuple(x for x, _ in prefix)
+        yield from (xs + (x,) for x, bits in last if not shared & bits)
 
 
 def simplex_token(x: Simplex) -> str:
@@ -325,30 +364,13 @@ def build_sphere(n: int) -> SSet:
     return K
 
 
-@functools.lru_cache(maxsize=None)
-def _shuffle_words(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    # All normal degeneracy words raising dimension p to n: decreasing
-    # (n-p)-subsets of {0..n-1}.
-    return tuple(tuple(reversed(c)) for c in itertools.combinations(range(n), n - p))
-
-
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
 
 
-def _pair_count(A: SSet, B: SSet, basepoints: bool) -> int:
-    """Number of jointly nondegenerate pairs over the generator pairs of A
-    and B, from the two dimension censuses, basepoints kept or left out.
-
-    Generators a, b of dimensions p, q give one pair per n in [max(p, q),
-    p + q] and per disjoint pair of degeneracy words: C(n, p) choices for
-    the word on a, then C(p, n - q) for the word on b in the rest.
-    """
-    def census(K: SSet) -> Counter:
-        return Counter(d for name, d in K.gens if basepoints or name != K.basepoint)
-
-    return sum(
-        ca * cb * sum(math.comb(n, p) * math.comb(p, n - q) for n in range(max(p, q), p + q + 1))
-        for p, ca in census(A).items() for q, cb in census(B).items())
+def _pair_total(A: SSet, B: SSet, basepoints: bool) -> int:
+    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not."""
+    censuses = (dimension_census(A, basepoints), dimension_census(B, basepoints))
+    return sum(nondegenerate_count(censuses, m) for m in range(A.max_dim + B.max_dim + 1))
 
 
 def _check_size(stage: str, size: int) -> None:
@@ -356,39 +378,34 @@ def _check_size(stage: str, size: int) -> None:
         raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
 
 
-def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, keep) -> tuple[SSet, PairTable]:
-    """The jointly nondegenerate pairs (x, y) of A x B over generator pairs
-    that keep accepts, each named "(x<sep>y)", with faces class_of(d_i x, d_i y)."""
+def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, basepoints: bool) -> tuple[SSet, PairTable]:
+    """The jointly nondegenerate pairs (x, y) of A x B, over basepoint
+    generators too if basepoints, each named "(x<sep>y)", with faces
+    class_of(d_i x, d_i y)."""
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
     pairs: dict[str, tuple[Simplex, Simplex]] = {}
-    for (a, p), (b, q) in itertools.product(A.gens, B.gens):
-        if not keep(a, b):
-            continue
-        for n in range(max(p, q), p + q + 1):
-            for I in _shuffle_words(n, p):
-                for J in _shuffle_words(n, q):
-                    if not set(I).isdisjoint(J):
-                        continue
-                    sa, sb = _simplex(a, I, n), _simplex(b, J, n)
-                    name = f"({simplex_token(sa)}{sep}{simplex_token(sb)})"
-                    dims[name] = n
-                    pairs[name] = (sa, sb)
-                    if n:
-                        faces[name] = tuple(class_of(face(A, sa, i), face(B, sb, i)) for i in range(n + 1))
+    for n in range(A.max_dim + B.max_dim + 1):
+        choices = [[x for x in K.simplices(n) if basepoints or x.generator != K.basepoint] for K in (A, B)]
+        for sa, sb in nondegenerate_tuples(choices, n):
+            name = f"({simplex_token(sa)}{sep}{simplex_token(sb)})"
+            dims[name] = n
+            pairs[name] = (sa, sb)
+            if n:
+                faces[name] = tuple(class_of(face(A, sa, i), face(B, sb, i)) for i in range(n + 1))
     return SSet.build(basepoint, dims, faces), tuple(sorted(pairs.items()))
 
 
 @functools.lru_cache(maxsize=None)
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
-    _check_size("product", _pair_count(A, B, basepoints=True))
+    _check_size("product", _pair_total(A, B, basepoints=True))
 
     def class_of(x: Simplex, y: Simplex) -> Simplex:
-        word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
+        word, (cx, cy) = joint_normal_form((x, y), x.dim)
         return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
 
-    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", ",", class_of, lambda a, b: True)
+    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", ",", class_of, basepoints=True)
 
 
 def product(A: SSet, B: SSet) -> SSet:
@@ -450,9 +467,7 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core lands on the basepoint "*".
     """
     _check_size("smash", smash_size(A, B))
-    return _pair_complex(
-        A, B, "*", "^", lambda x, y: _smash_class(A, B, x, y),
-        lambda a, b: a != A.basepoint and b != B.basepoint)
+    return _pair_complex(A, B, "*", "^", lambda x, y: _smash_class(A, B, x, y), basepoints=False)
 
 
 def smash(A: SSet, B: SSet) -> SSet:
@@ -462,11 +477,11 @@ def smash(A: SSet, B: SSet) -> SSet:
 def smash_size(A: SSet, B: SSet) -> int:
     """Generator count of smash(A, B) from the two dimension censuses: the
     pairs of non-basepoint generators, and the basepoint."""
-    return 1 + _pair_count(A, B, basepoints=False)
+    return 1 + _pair_total(A, B, basepoints=False)
 
 
 def _smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
-    word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
+    word, (cx, cy) = joint_normal_form((x, y), x.dim)
     if cx.generator == A.basepoint or cy.generator == B.basepoint:
         return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
     return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)

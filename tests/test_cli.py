@@ -593,6 +593,10 @@ GOLDEN_ERRORS = [
     (['gw', '--expr', '<1>', '--field', 'f' + '9' * 5000], 1, 'error: field size: 5000 digits exceed the cap of 4300\n'),
     (['tensor', '--expr', 'KM(' + '9' * 5000 + ')'], 1, 'error: integer: 5000 digits exceed the cap of 4300\n'),
     (['hopf', '--word', 's' + '9' * 5000 + ' x', '-r', '1'], 1, 'error: degeneracy: 5000 digits exceed the cap of 4300\n'),
+    (['james', '--space', 'S1', '-n', '100000000'], 1, 'error: truncation exceeds 2000 generators\n'),
+    (['james', '--space', 'S0', '-n', '3000'], 1, 'error: truncation exceeds 2000 generators\n'),
+    (['hopf', '--word', '|'.join(['x'] * 60), '--dim', '0', '-r', '30'], 1,
+     'error: hopf word: 118264581564861424 subsequences, over the cap of 25000\n'),
 ]
 
 
@@ -624,26 +628,34 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("argv", [
-    ["ehp", "exchange", "-p", "1", "-q", "100000000", "--field", "f5"],
-    ["kmw", "--expr", "20000*[2]", "--field", "qbar"],
-    ["kmw", "--expr", "1000000000000*[2]", "--field", "qbar"],
-    ["homology", "--space", "S3000"],
-    ["hopf", "--word", "x|y", "-r", "3000"],
-    ["hopf", "--word", "x|y", "-r", "6"],
-    ["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"],
-    ["homology", "--space", "S12^S12"],
-    ["homology", "--space", "S4xS4xS4"],
-    ["gw", "--expr", "<1e100000000>", "--field", "q"],
-], ids=" ".join)
-def test_bounded_inputs_end_cleanly_in_a_child(argv):
+# Each input exits 1 with an error, or exits 0 with the given stdout.
+BOUNDED_INPUTS = [
+    (["ehp", "exchange", "-p", "1", "-q", "100000000", "--field", "f5"], "-<1>\n"),
+    (["kmw", "--expr", "20000*[2]", "--field", "qbar"], None),
+    (["kmw", "--expr", "1000000000000*[2]", "--field", "qbar"], None),
+    (["homology", "--space", "S3000"], None),
+    (["hopf", "--word", "x|y", "-r", "3000"], None),
+    (["hopf", "--word", "x|y", "-r", "6"], None),
+    (["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"], None),
+    (["hopf", "--word", "|".join(["x"] * 60), "--dim", "0", "-r", "30"], None),
+    (["homology", "--space", "S12^S12"], None),
+    (["homology", "--space", "S4xS4xS4"], None),
+    (["homology", "--space", "J(pt,100000000)"], "{}\n"),
+    (["james", "--space", "pt", "-n", "100000000"], "{0: 1}\n"),
+    (["james", "--space", "S1", "-n", "100000000"], None),
+    (["gw", "--expr", "<1e100000000>", "--field", "q"], None),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", BOUNDED_INPUTS, ids=[_golden_id(a) for a, _ in BOUNDED_INPUTS])
+def test_bounded_inputs_end_cleanly_in_a_child(argv, stdout):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "ehpcalc.cli", *argv], env=env, capture_output=True,
                           text=True, preexec_fn=_limit_address_space, timeout=600)
     assert done.returncode in (0, 1, 2)
     assert "Traceback" not in done.stderr
-    if argv[0] == "ehp":
-        assert (done.returncode, done.stdout) == (0, "-<1>\n")
-    else:
+    if stdout is None:
         assert done.returncode == 1 and done.stderr.startswith("error: ")
+    else:
+        assert (done.returncode, done.stdout) == (0, stdout)

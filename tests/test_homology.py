@@ -214,15 +214,6 @@ class TestHomologyGroup:
         with pytest.raises(DomainError):
             HomologyGroup(0, (1,))
 
-    def test_direct_sum_recombines(self):
-        a = HomologyGroup(1, (2,))
-        b = HomologyGroup(0, (3,))
-        assert a.direct_sum(b) == HomologyGroup(1, (6,))
-        c = HomologyGroup(0, (4,))
-        d = HomologyGroup(0, (6,))
-        assert c.direct_sum(d) == HomologyGroup(0, (2, 12))
-        assert HomologyGroup(2).direct_sum(HomologyGroup(3)) == HomologyGroup(5)
-
     def test_str(self):
         assert str(HomologyGroup(0)) == "0"
         assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"

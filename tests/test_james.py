@@ -6,11 +6,14 @@ from math import comb
 
 import pytest
 
+from ehpcalc import james
 from ehpcalc.errors import CapExceeded, DomainError
 from ehpcalc.homology import HomologyGroup, reduced_homology
 from ehpcalc.james import (
     JamesWord,
+    TRUNCATION_CAP,
     cartan_word_check,
+    james_census,
     james_hopf_map,
     james_hopf_word,
     james_map,
@@ -34,6 +37,8 @@ from ehpcalc.simplicial import (
     face as simplicial_face,
     fold_map,
     is_isomorphic,
+    point,
+    product,
     smash_map,
     wedge,
 )
@@ -109,12 +114,26 @@ class TestTruncation:
         assert [len(J.generators(d)) for d in range(3)] == [1, 2, 2]
 
     def test_counts_match_inclusion_exclusion_oracle(self):
-        for K, n in [(S1, 2), (S1, 3), (S2, 2), (W, 2)]:
-            J = james_truncation(K, n)
-            dims = gen_dims(K)
-            for m in range(J.max_dim + 2):
-                expect = james_cell_count(dims, n, m) + (1 if m == 0 else 0)
-                assert len(J.generators(m)) == expect
+        for K in (point(), S0, S1, S2, W, product(S1, S1)):
+            for n in range(1, 5):
+                oracle = {m: james_cell_count(gen_dims(K), n, m) for m in range(n * K.max_dim + 2)}
+                oracle = {m: c + (1 if m == 0 else 0) for m, c in oracle.items() if c or m == 0}
+                if sum(oracle.values()) > TRUNCATION_CAP:
+                    for counted in (james_census, james_truncation):
+                        with pytest.raises(CapExceeded, match=f"^truncation exceeds {TRUNCATION_CAP} generators$"):
+                            counted(K, n)
+                    continue
+                J = james_truncation(K, n)
+                built = {m: len(J.generators(m)) for m in range(J.max_dim + 1) if J.generators(m)}
+                assert james_census(K, n) == built == oracle, (K, n)
+
+    def test_refused_before_any_word_is_built(self, monkeypatch):
+        def unreachable(choices, m):
+            raise AssertionError("a truncation past the cap was enumerated")
+
+        monkeypatch.setattr(james, "nondegenerate_tuples", unreachable)
+        with pytest.raises(CapExceeded, match=f"^truncation exceeds {TRUNCATION_CAP} generators$"):
+            james_truncation(S1, 6)
 
     def test_circle_level_three_size(self):
         assert james_truncation(S1, 3).n_generators == 18

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ehpcalc import simplicial
 from ehpcalc.errors import CapExceeded, DomainError
@@ -18,6 +18,7 @@ from ehpcalc.simplicial import (
     collapse,
     compose,
     degenerate,
+    dimension_census,
     face,
     fold_map,
     identity_map,
@@ -25,6 +26,8 @@ from ehpcalc.simplicial import (
     insert_degeneracy,
     is_isomorphic,
     joint_normal_form,
+    nondegenerate_count,
+    nondegenerate_tuples,
     point,
     product,
     product_with_pairs,
@@ -244,7 +247,7 @@ class TestJointNormalForm:
             for y in all_simplices(B, extra=1):
                 if x.dim != y.dim:
                     continue
-                word, (cx, cy) = joint_normal_form((A, B), (x, y), x.dim)
+                word, (cx, cy) = joint_normal_form((x, y), x.dim)
                 assert not set(cx.word) & set(cy.word)
                 # rebuild: applying the word to the cores gives back the pair
                 rx, ry = cx, cy
@@ -253,7 +256,7 @@ class TestJointNormalForm:
                 assert (rx, ry) == (x, y)
 
     def test_empty_tuple_strips_to_dim_zero(self):
-        word, cores = joint_normal_form((), (), 3)
+        word, cores = joint_normal_form((), 3)
         assert cores == ()
         assert word == (2, 1, 0)
 
@@ -263,6 +266,30 @@ REFERENCE_COMPLEXES = TEST_COMPLEXES + [smash(S1, S2), james_truncation(S1, 3)]
 
 def _ref_id(K: SSet) -> str:
     return f"{K.n_generators}gens-dim{K.max_dim}"
+
+
+def free_complex(dims: list[int]) -> SSet:
+    """Basepoint plus one generator per entry of dims, every face at the basepoint."""
+    names = {f"g{i}": d for i, d in enumerate(dims)}
+    faces = {n: (point().basepoint_simplex(d - 1),) * (d + 1) for n, d in names.items() if d}
+    return SSet.build("*", {"*": 0, **names}, faces)
+
+
+class TestNondegenerateTuples:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3),
+           st.integers(0, 6), st.booleans())
+    def test_count_matches_enumeration(self, factor_dims, m, basepoints):
+        factors = [free_complex(dims) for dims in factor_dims]
+        censuses = [dimension_census(K, basepoints) for K in factors]
+        choices = [[x for x in K.simplices(m) if basepoints or x.generator != K.basepoint]
+                   for K in factors]
+        tuples = list(nondegenerate_tuples(choices, m))
+        assert nondegenerate_count(censuses, m) == len(tuples)
+        # the same tuples in the same order as the full product, filtered
+        full = itertools.product(*choices)
+        assert tuples == [xs for xs in full if not set.intersection(*(set(x.word) for x in xs))]
+        assert nondegenerate_count(censuses, m, power=2) == nondegenerate_count(censuses * 2, m)
 
 
 class TestNormalFormsAgainstReference:
@@ -288,22 +315,22 @@ class TestNormalFormsAgainstReference:
         for d in range(K.max_dim + 3):
             xs = K.simplices(d)
             for x in xs:
-                assert joint_normal_form((K,), (x,), d) == reference_joint_normal_form((K,), (x,), d)
+                assert joint_normal_form((x,), d) == reference_joint_normal_form((K,), (x,), d)
             # in the top dimension of the larger complexes, every 7th partner
             partners = xs[::7] if d > K.max_dim + 1 and len(xs) > 50 else xs
             for x, y in itertools.product(xs, partners):
-                got = joint_normal_form((K, K), (x, y), d)
+                got = joint_normal_form((x, y), d)
                 assert got == reference_joint_normal_form((K, K), (x, y), d), (x, y)
 
     def test_joint_normal_form_of_triples_across_complexes(self):
         complexes = (S1, S2, product(S1, S1))
         for d in range(4):
             for xs in itertools.product(*(K.simplices(d) for K in complexes)):
-                assert joint_normal_form(complexes, xs, d) == reference_joint_normal_form(complexes, xs, d)
+                assert joint_normal_form(xs, d) == reference_joint_normal_form(complexes, xs, d)
 
     def test_empty_tuple(self):
         for d in range(5):
-            assert joint_normal_form((), (), d) == reference_joint_normal_form((), (), d)
+            assert joint_normal_form((), d) == reference_joint_normal_form((), (), d)
 
 
 class TestHashedOnce:
