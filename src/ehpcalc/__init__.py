@@ -46,6 +46,7 @@ from .james import (
     JamesWord,
     cartan_word_check,
     james_census,
+    james_hopf_letters,
     james_hopf_map,
     james_hopf_word,
     james_map,

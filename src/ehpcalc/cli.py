@@ -44,7 +44,7 @@ from .gw import (
     real_closed,
 )
 from .homology import homology_to_doc, reduced_homology
-from .james import JamesWord, james_census, james_hopf_word, james_quotient, james_truncation
+from .james import JamesWord, james_census, james_hopf_letters, james_quotient, james_truncation
 from .kmw import (
     SheafExpr,
     aone_tensor,
@@ -413,9 +413,7 @@ def cmd_james(args) -> str:
 
 
 def cmd_hopf(args) -> str:
-    w = parse_word(args.word, args.dim)
-    hw = james_hopf_word(w, args.r)
-    letters = [simplex_token(x) for x in hw.letters]
+    letters = [simplex_token(x) for x in james_hopf_letters(parse_word(args.word, args.dim), args.r)]
     text = "".join(letters) if letters else "*"
     doc = {"word": args.word, "r": args.r, "letters": letters}
     return _render(args, text, doc)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
@@ -15,6 +15,7 @@ from .simplicial import (
     Simplex,
     _setattr,
     _simplex,
+    _smash_class,
     collapse,
     degenerate,
     dimension_census,
@@ -25,8 +26,6 @@ from .simplicial import (
     shared_degeneracies,
     simplex_token,
     smash,
-    smash_class,
-    smash_size,
 )
 
 TRUNCATION_CAP = 2000
@@ -35,31 +34,29 @@ TRUNCATION_CAP = 2000
 SMASH_FACTOR_CAP = 1000
 
 
-@lru_cache(maxsize=None)
-def smash_power(K: SSet, r: int) -> SSet:
-    """Iterated smash product, associated to the left; the size of each step
-    is counted before it is built."""
+def _check_factors(r: int) -> None:
     if r < 1:
         raise DomainError("smash power needs r >= 1")
     if r > SMASH_FACTOR_CAP:
         raise CapExceeded(f"smash power: {r} factors exceed the cap of {SMASH_FACTOR_CAP}")
-    out = K
-    for j in range(2, r + 1):
-        size = smash_size(out, K)
-        if size > SMASH_POWER_CAP:
-            raise CapExceeded(
-                f"smash power: factor {j} of {r} gives {size} generators, over the cap of {SMASH_POWER_CAP}")
-        out = smash(out, K)
-    return out
+
+
+@lru_cache(maxsize=None)
+def smash_power(K: SSet, r: int) -> SSet:
+    """Left-associated smash power; smash counts each step before building it."""
+    _check_factors(r)
+    return reduce(smash, [K] * r)
 
 
 def smash_power_class(K: SSet, r: int, xs: tuple[Simplex, ...]) -> Simplex:
-    """Class of x_1 ^ ... ^ x_r inside smash_power(K, r)."""
-    if r < 1 or len(xs) != r:
-        raise DomainError("need exactly r simplices")
-    out = xs[0]
-    for j in range(1, r):
-        out = smash_class(smash_power(K, j), K, out, xs[j])
+    """Class of x_1 ^ ... ^ x_r inside smash_power(K, r), named without it:
+    the first smash is over K's basepoint, the later ones over "*"."""
+    _check_factors(r)
+    if len(xs) != r or any(x.dim != xs[0].dim for x in xs):
+        raise DomainError("need exactly r simplices of one dimension")
+    out, a = xs[0], K.basepoint
+    for x in xs[1:]:
+        out, a = _smash_class(a, K.basepoint, out, x), "*"
     return out
 
 
@@ -160,12 +157,12 @@ def _word_complex(seeds) -> tuple[SSet, dict[str, JamesWord]]:
     return SSet.build("*", dims, faces), words
 
 
-def james_census(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> dict[int, int]:
+def james_census(K: SSet, n: int) -> dict[int, int]:
     """Generators of the level-n truncation per dimension, basepoint
     included, counted from the census of K without building it;
-    CapExceeded past cap. The cores of l letters, of dimension at most top,
-    cover the m degeneracy indices exactly when l * top >= m, so every term
-    visited is positive and at most cap are visited for any n."""
+    CapExceeded past TRUNCATION_CAP. The cores of l letters, of dimension at
+    most top, cover the m degeneracy indices exactly when l * top >= m, so
+    every term visited is positive and at most the cap are visited."""
     if n < 1:
         raise DomainError("truncation level must be >= 1")
     census = dimension_census(K, basepoint=False)
@@ -177,14 +174,14 @@ def james_census(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> dict[int, int]:
         for ell in range(-(-m // top) if top else 1, n + 1):
             count = nondegenerate_count([census], m, power=ell)
             out[m], total = out.get(m, 0) + count, total + count
-            if total > cap:
-                raise CapExceeded(f"truncation exceeds {cap} generators")
+            if total > TRUNCATION_CAP:
+                raise CapExceeded(f"truncation exceeds {TRUNCATION_CAP} generators")
     return out
 
 
 @lru_cache(maxsize=None)
-def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
-    census = james_census(K, n, cap)
+def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
+    census = james_census(K, n)
 
     def seeds():
         for m in census:
@@ -197,19 +194,19 @@ def _james_data(K: SSet, n: int, cap: int) -> tuple[SSet, dict[str, JamesWord]]:
     return _word_complex(seeds())
 
 
-def james_truncation(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> SSet:
+def james_truncation(K: SSet, n: int) -> SSet:
     """Words of length <= n, as a pointed simplicial set."""
-    return _james_data(K, n, cap)[0]
+    return _james_data(K, n)[0]
 
 
-def james_words(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> dict[str, JamesWord]:
+def james_words(K: SSet, n: int) -> dict[str, JamesWord]:
     """Generator name to word, for the nondegenerate cells of the truncation."""
-    return dict(_james_data(K, n, cap)[1])
+    return dict(_james_data(K, n)[1])
 
 
-def suspension_unit_E(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> SMap:
+def suspension_unit_E(K: SSet, n: int) -> SMap:
     """One-letter-word inclusion of K into its level-n truncation."""
-    J, _ = _james_data(K, n, cap)
+    J, _ = _james_data(K, n)
     images = {}
     for g in K.generators():
         if g == K.basepoint:
@@ -220,29 +217,38 @@ def suspension_unit_E(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> SMap:
     return SMap.build(K, J, images)
 
 
-def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
-    """Word of all r-fold smash subsequences, index tuples in lexicographic
-    order, reduced over smash_power."""
+def james_hopf_letters(w: JamesWord, r: int) -> tuple[Simplex, ...]:
+    """Classes x_i1 ^ ... ^ x_ir of the r-fold subsequences of w in
+    lexicographic order, named as in smash_power(w.complex, r) without
+    building it; basepoint classes "*" are dropped (at r = 1 there are none).
+
+    >>> from ehpcalc.cli import parse_word
+    >>> "".join(simplex_token(x) for x in james_hopf_letters(parse_word("x|y|z"), 2))
+    '(x^y)(x^z)(y^z)'
+    """
     if r < 1:
         raise DomainError("subsequence length must be >= 1")
     count = math.comb(len(w.letters), r)
     if count > SMASH_POWER_CAP:
         raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
-    target = smash_power(w.complex, r)
-    letters = tuple(
-        smash_power_class(w.complex, r, tuple(w.letters[i] for i in idx))
-        for idx in itertools.combinations(range(len(w.letters)), r)
-    )
-    return _word(target, w.dim, letters)
+    subsequences = itertools.combinations(w.letters, r) if count else ()  # it allocates r indices first
+    classes = (smash_power_class(w.complex, r, xs) for xs in subsequences)
+    return tuple(x for x in classes if r == 1 or x.generator != "*")
 
 
-def james_hopf_map(K: SSet, n: int, r: int, cap: int = TRUNCATION_CAP) -> SMap:
+def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
+    """james_hopf_letters as a word over smash_power(w.complex, r)."""
+    letters = james_hopf_letters(w, r)
+    return _word(smash_power(w.complex, r), w.dim, letters)
+
+
+def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     """Simplexwise subsequence map out of the level-n truncation, into the
     subcomplex of J_{C(n,r)}(K^r) spanned by its images (the point when
     r > n).  Simpliciality is checked by the map constructor, not assumed."""
     if n < 1 or r < 1:
         raise DomainError("levels must be >= 1")
-    J, words = _james_data(K, n, cap)
+    J, words = _james_data(K, n)
     images, cores = {}, {}
     for name, w in words.items():
         word, core = word_normal_form(james_hopf_word(w, r))
@@ -253,10 +259,10 @@ def james_hopf_map(K: SSet, n: int, r: int, cap: int = TRUNCATION_CAP) -> SMap:
     return SMap.build(J, T, images)
 
 
-def james_map(f: SMap, n: int, cap: int = TRUNCATION_CAP) -> SMap:
+def james_map(f: SMap, n: int) -> SMap:
     """Letterwise induced map between level-n truncations."""
-    Js, words = _james_data(f.source, n, cap)
-    Jt, _ = _james_data(f.target, n, cap)
+    Js, words = _james_data(f.source, n)
+    Jt, _ = _james_data(f.target, n)
     images = {"*": Jt.basepoint_simplex(0)}
     for name, w in words.items():
         fw = JamesWord(f.target, w.dim, tuple(f(x) for x in w.letters))
@@ -264,11 +270,11 @@ def james_map(f: SMap, n: int, cap: int = TRUNCATION_CAP) -> SMap:
     return SMap.build(Js, Jt, images)
 
 
-def james_quotient(K: SSet, n: int, cap: int = TRUNCATION_CAP) -> tuple[SSet, dict[str, str]]:
+def james_quotient(K: SSet, n: int) -> tuple[SSet, dict[str, str]]:
     """Collapse of words shorter than n, with its isomorphism [x1|...|xn] ->
     x1^...^xn onto the n-fold smash power as a generator witness: the map is
     checked simplicial and a bijection onto nondegenerate generators."""
-    J, words = _james_data(K, n, cap)
+    J, words = _james_data(K, n)
     Q = collapse(J, {name for name, w in words.items() if len(w) < n})
     P = smash_power(K, n)
     images = {name: smash_power_class(K, n, w.letters) for name, w in words.items() if len(w) == n}
@@ -284,14 +290,6 @@ def cartan_word_check(K: SSet, letters) -> bool:
     """Subsequence word at r = 2 versus the concatenation of one-letter pair
     words, both reduced; letters may include the basepoint."""
     letters = tuple(letters)
-    dims = {x.dim for x in letters}
-    if len(dims) > 1:
-        raise DomainError("letters must share a dimension")
-    dim = dims.pop() if dims else 0
-    lhs = james_hopf_word(JamesWord(K, dim, letters), 2)
-    target = smash_power(K, 2)
-    concat: tuple[Simplex, ...] = ()
-    for i, j in itertools.combinations(range(len(letters)), 2):
-        one = JamesWord(target, dim, (smash_power_class(K, 2, (letters[i], letters[j])),))
-        concat = concat + one.letters
-    return lhs == JamesWord(target, dim, concat)
+    lhs = james_hopf_letters(JamesWord(K, letters[0].dim if letters else 0, letters), 2)
+    pairs = (smash_power_class(K, 2, xy) for xy in itertools.combinations(letters, 2))
+    return lhs == tuple(x for x in pairs if x.generator != "*")

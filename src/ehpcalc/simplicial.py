@@ -378,21 +378,23 @@ def _check_size(stage: str, size: int) -> None:
         raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
 
 
-def _pair_complex(A: SSet, B: SSet, basepoint: str, sep: str, class_of, basepoints: bool) -> tuple[SSet, PairTable]:
+def _pair_complex(A: SSet, B: SSet, basepoint: str, class_of, basepoints: bool) -> tuple[SSet, PairTable]:
     """The jointly nondegenerate pairs (x, y) of A x B, over basepoint
-    generators too if basepoints, each named "(x<sep>y)", with faces
-    class_of(d_i x, d_i y)."""
+    generators too if basepoints, each named class_of(x, y).generator,
+    with faces class_of(d_i x, d_i y)."""
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
     pairs: dict[str, tuple[Simplex, Simplex]] = {}
+    # a simplex may meet many partners, so its faces are taken once, when first needed
+    fa, fb = (functools.cache(lambda x, K=K: [face(K, x, i) for i in range(x.dim + 1)]) for K in (A, B))
     for n in range(A.max_dim + B.max_dim + 1):
         choices = [[x for x in K.simplices(n) if basepoints or x.generator != K.basepoint] for K in (A, B)]
         for sa, sb in nondegenerate_tuples(choices, n):
-            name = f"({simplex_token(sa)}{sep}{simplex_token(sb)})"
+            name = class_of(sa, sb).generator
             dims[name] = n
             pairs[name] = (sa, sb)
             if n:
-                faces[name] = tuple(class_of(face(A, sa, i), face(B, sb, i)) for i in range(n + 1))
+                faces[name] = tuple(map(class_of, fa(sa), fb(sb)))
     return SSet.build(basepoint, dims, faces), tuple(sorted(pairs.items()))
 
 
@@ -405,7 +407,7 @@ def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
         word, (cx, cy) = joint_normal_form((x, y), x.dim)
         return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
 
-    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", ",", class_of, basepoints=True)
+    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", class_of, basepoints=True)
 
 
 def product(A: SSet, B: SSet) -> SSet:
@@ -467,7 +469,7 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core lands on the basepoint "*".
     """
     _check_size("smash", smash_size(A, B))
-    return _pair_complex(A, B, "*", "^", lambda x, y: _smash_class(A, B, x, y), basepoints=False)
+    return _pair_complex(A, B, "*", functools.partial(_smash_class, A.basepoint, B.basepoint), basepoints=False)
 
 
 def smash(A: SSet, B: SSet) -> SSet:
@@ -480,9 +482,9 @@ def smash_size(A: SSet, B: SSet) -> int:
     return 1 + _pair_total(A, B, basepoints=False)
 
 
-def _smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
+def _smash_class(a: str, b: str, x: Simplex, y: Simplex) -> Simplex:
     word, (cx, cy) = joint_normal_form((x, y), x.dim)
-    if cx.generator == A.basepoint or cy.generator == B.basepoint:
+    if cx.generator == a or cy.generator == b:
         return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
     return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
 
@@ -491,7 +493,7 @@ def smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
     """Image of the product simplex (x, y) in smash(A, B); x, y of equal dim."""
     if x.dim != y.dim:
         raise DomainError(f"component dimensions differ: {x.dim} vs {y.dim}")
-    return _smash_class(A, B, x, y)
+    return _smash_class(A.basepoint, B.basepoint, x, y)
 
 
 def suspension(K: SSet) -> SSet:

@@ -1,6 +1,7 @@
 """Subcommand dispatch, grammars, exit codes, output determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import resource
@@ -628,15 +629,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# Hopf letters are named without building a smash power: a 10-letter word
+# at r = 4 answers, and any r past the word length gives the empty word "*".
+_TEN_LETTERS = "abcdeabcde"
+_TEN_LETTER_HOPF = "".join(f"((({a}^{b})^{c})^{d})" for a, b, c, d in itertools.combinations(_TEN_LETTERS, 4))
+
 # Each input exits 1 with an error, or exits 0 with the given stdout.
 BOUNDED_INPUTS = [
     (["ehp", "exchange", "-p", "1", "-q", "100000000", "--field", "f5"], "-<1>\n"),
     (["kmw", "--expr", "20000*[2]", "--field", "qbar"], None),
     (["kmw", "--expr", "1000000000000*[2]", "--field", "qbar"], None),
     (["homology", "--space", "S3000"], None),
-    (["hopf", "--word", "x|y", "-r", "3000"], None),
-    (["hopf", "--word", "x|y", "-r", "6"], None),
-    (["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"], None),
+    (["hopf", "--word", "x|y", "-r", "3000"], "*\n"),
+    (["hopf", "--word", "x|y", "-r", "6"], "*\n"),
+    (["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"], "*\n"),
+    (["hopf", "--word", "|".join(_TEN_LETTERS), "-r", "4"], _TEN_LETTER_HOPF + "\n"),
     (["hopf", "--word", "|".join(["x"] * 60), "--dim", "0", "-r", "30"], None),
     (["homology", "--space", "S12^S12"], None),
     (["homology", "--space", "S4xS4xS4"], None),

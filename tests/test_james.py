@@ -5,8 +5,9 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ehpcalc import james
+from ehpcalc import cli, james
 from ehpcalc.errors import CapExceeded, DomainError
 from ehpcalc.homology import HomologyGroup, reduced_homology
 from ehpcalc.james import (
@@ -14,6 +15,7 @@ from ehpcalc.james import (
     TRUNCATION_CAP,
     cartan_word_check,
     james_census,
+    james_hopf_letters,
     james_hopf_map,
     james_hopf_word,
     james_map,
@@ -51,6 +53,16 @@ W = wedge(S1, S1)
 
 def gen_dims(K):
     return [K.dim_of(g) for g in K.generators() if g != K.basepoint]
+
+
+@pytest.fixture
+def truncation_cap(monkeypatch):
+    """Sets james.TRUNCATION_CAP for one test. A cached truncation is not
+    counted again, so each setting empties the cache."""
+    def set_cap(cap):
+        monkeypatch.setattr(james, "TRUNCATION_CAP", cap)
+        james._james_data.cache_clear()
+    return set_cap
 
 
 class TestWords:
@@ -150,14 +162,17 @@ class TestTruncation:
             4: HomologyGroup(1),
         }
 
-    def test_cap(self):
+    def test_cap(self, truncation_cap):
+        truncation_cap(50)
         with pytest.raises(CapExceeded):
-            james_truncation(S2, 3, cap=50)
+            james_truncation(S2, 3)
 
-    def test_cap_counts_every_generator(self):
-        assert james_truncation(S1, 3, cap=18).n_generators == 18
+    def test_cap_counts_every_generator(self, truncation_cap):
+        truncation_cap(18)
+        assert james_truncation(S1, 3).n_generators == 18
+        truncation_cap(17)
         with pytest.raises(CapExceeded, match="^truncation exceeds 17 generators$"):
-            james_truncation(S1, 3, cap=17)
+            james_truncation(S1, 3)
 
     def test_bad_level(self):
         with pytest.raises(DomainError):
@@ -226,6 +241,25 @@ class TestHopfWord:
         w = JamesWord(S1, 1, (S1.simplex("e1"), S1.simplex("e1")))
         assert james_hopf_word(w, 1) == w
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_letters_agree_with_the_built_smash_power(self, data):
+        # words on free letters of dimension <= dim, degenerate letters and
+        # the basepoint included, wherever the smash power is under its cap
+        dim = data.draw(st.integers(0, 2))
+        K = cli._free_letters_complex(data.draw(st.dictionaries(st.sampled_from("abc"), st.integers(0, dim))))
+        letters = data.draw(st.lists(st.sampled_from(K.simplices(dim)), max_size=7))
+        r = data.draw(st.integers(1, 4))
+        try:
+            P = smash_power(K, r)
+        except CapExceeded:
+            assume(False)
+        w = JamesWord(K, dim, tuple(letters))
+        got = james_hopf_letters(w, r)
+        assert got == james_hopf_word(w, r).letters
+        for x in got:
+            assert P.dim_of(x.generator) + len(x.word) == x.dim == dim
+
 
 class TestHopfMap:
     def test_two_cells_map_to_one_letter_words(self):
@@ -246,12 +280,13 @@ class TestHopfMap:
             H = james_hopf_map(K, n, r)
             assert H.source is james_truncation(K, n)
 
-    def test_target_is_the_image_and_is_capped(self):
+    def test_target_is_the_image_and_is_capped(self, truncation_cap):
         # J_3(S1^S1) has 4,762 generators; the image spans 17
         assert james_hopf_map(S1, 3, 2).target.n_generators == 17
         assert james_hopf_map(S1, 4, 2).source is james_truncation(S1, 4)
+        truncation_cap(10)
         with pytest.raises(CapExceeded):
-            james_hopf_map(S1, 3, 2, cap=10)
+            james_hopf_map(S1, 3, 2)
 
     def test_target_is_a_subcomplex_of_the_full_truncation(self):
         for K, n, r in [(S1, 2, 2), (S2, 2, 2), (W, 2, 2), (S0, 4, 2), (S1, 3, 3)]:
@@ -291,8 +326,24 @@ class TestHopfMap:
 class TestSmashPowerBudget:
     def test_counted_before_built(self):
         assert smash_power(S1, 6).n_generators == 4684
-        with pytest.raises(CapExceeded, match="smash power: factor 6 of 6 gives 299713 generators"):
+        with pytest.raises(CapExceeded, match="smash: 299713 generators, over the cap of 25000"):
             smash_power(W, 6)
+
+    def test_classes_are_named_without_building(self):
+        a, b = W.simplex("l.e1"), W.simplex("r.e1")
+        built = smash_power.cache_info().currsize
+        x = smash_power_class(W, 6, (a, b) * 3)
+        assert smash_power.cache_info().currsize == built
+        assert x == Simplex("(((((l.e1^r.e1)^l.e1)^r.e1)^l.e1)^r.e1)", (), 1)
+        with pytest.raises(CapExceeded):
+            smash_power(W, 6)
+
+    def test_classes_over_a_basepoint_not_named_star(self):
+        # the first smash is over the basepoint of K, the later ones over "*"
+        K = product(S0, S0)  # four vertices, basepoint "(*,*)"
+        for r in range(1, 4):
+            classes = {smash_power_class(K, r, xs) for xs in itertools.product(K.simplices(0), repeat=r)}
+            assert {x.generator for x in classes} == set(smash_power(K, r).generators())
 
     def test_factor_cap(self):
         assert smash_power(S0, 400).n_generators == 2
