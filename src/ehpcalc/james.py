@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
@@ -132,29 +132,12 @@ def _word_simplex(w: JamesWord) -> Simplex:
     return _simplex(word_token(core), word, w.dim)
 
 
-def _word_complex(seeds) -> tuple[SSet, dict[str, JamesWord]]:
-    """The pointed complex spanned by nondegenerate words given as (token,
-    word) pairs, closed under word_face, with basepoint the empty word "*";
-    callers bound its size before building it."""
-    dims: dict[str, int] = {"*": 0}
-    words: dict[str, JamesWord] = {}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    todo: list[tuple[str, JamesWord]] = []
-
-    def add(tok: str, w: JamesWord) -> str:
-        if tok not in dims:
-            dims[tok], words[tok] = w.dim, w
-            todo.append((tok, w))
-        return tok
-
-    for tok, w in seeds:
-        add(tok, w)
-    while todo:
-        name, w = todo.pop()
-        if w.dim > 0:
-            cores = [word_normal_form(word_face(w, i)) for i in range(w.dim + 1)]
-            faces[name] = tuple(_simplex(add(word_token(c), c), word, w.dim - 1) for word, c in cores)
-    return SSet.build("*", dims, faces), words
+def _word_complex(cells: dict[str, JamesWord], face_of) -> SSet:
+    """The pointed complex on the nondegenerate cells given by name, with
+    basepoint the empty word "*" and face i of a cell face_of(cell, i);
+    SSet.build refuses faces on unnamed cells and checks every identity."""
+    faces = {name: tuple(face_of(w, i) for i in range(w.dim + 1)) for name, w in cells.items() if w.dim}
+    return SSet.build("*", {"*": 0} | {name: w.dim for name, w in cells.items()}, faces)
 
 
 def james_census(K: SSet, n: int) -> dict[int, int]:
@@ -181,17 +164,14 @@ def james_census(K: SSet, n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
-    census = james_census(K, n)
-
-    def seeds():
-        for m in census:
-            letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
-            for ell in range(1, n + 1) if letters else ():
-                for combo in nondegenerate_tuples([letters] * ell, m):
-                    w = _word(K, m, combo)
-                    yield word_token(w), w
-
-    return _word_complex(seeds())
+    words = {}
+    for m in james_census(K, n):
+        letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
+        for ell in range(1, n + 1) if letters else ():
+            for combo in nondegenerate_tuples([letters] * ell, m):
+                w = _word(K, m, combo)
+                words[word_token(w)] = w
+    return _word_complex(words, lambda w, i: _word_simplex(word_face(w, i))), words
 
 
 def james_truncation(K: SSet, n: int) -> SSet:
@@ -207,14 +187,18 @@ def james_words(K: SSet, n: int) -> dict[str, JamesWord]:
 def suspension_unit_E(K: SSet, n: int) -> SMap:
     """One-letter-word inclusion of K into its level-n truncation."""
     J, _ = _james_data(K, n)
-    images = {}
-    for g in K.generators():
-        if g == K.basepoint:
-            images[g] = J.basepoint_simplex(0)
-        else:
-            x = K.simplex(g)
-            images[g] = _word_simplex(JamesWord(K, x.dim, (x,)))
-    return SMap.build(K, J, images)
+    images = {g: _simplex(f"[{g}]", (), d) for g, d in K.gens if g != K.basepoint}  # the cells [g]
+    return SMap.build(K, J, images | {K.basepoint: J.basepoint_simplex(0)})
+
+
+def _subsequences(w: JamesWord, r: int):
+    """The r-fold subsequences of w's letters, lexicographic, under the cap."""
+    if r < 1:
+        raise DomainError("subsequence length must be >= 1")
+    count = math.comb(len(w.letters), r)
+    if count > SMASH_POWER_CAP:
+        raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
+    return itertools.combinations(w.letters, r) if count else ()  # it allocates r indices first
 
 
 def james_hopf_letters(w: JamesWord, r: int) -> tuple[Simplex, ...]:
@@ -226,13 +210,7 @@ def james_hopf_letters(w: JamesWord, r: int) -> tuple[Simplex, ...]:
     >>> "".join(simplex_token(x) for x in james_hopf_letters(parse_word("x|y|z"), 2))
     '(x^y)(x^z)(y^z)'
     """
-    if r < 1:
-        raise DomainError("subsequence length must be >= 1")
-    count = math.comb(len(w.letters), r)
-    if count > SMASH_POWER_CAP:
-        raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
-    subsequences = itertools.combinations(w.letters, r) if count else ()  # it allocates r indices first
-    classes = (smash_power_class(w.complex, r, xs) for xs in subsequences)
+    classes = (smash_power_class(w.complex, r, xs) for xs in _subsequences(w, r))
     return tuple(x for x in classes if r == 1 or x.generator != "*")
 
 
@@ -245,16 +223,34 @@ def james_hopf_word(w: JamesWord, r: int) -> JamesWord:
 def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     """Simplexwise subsequence map out of the level-n truncation, into the
     subcomplex of J_{C(n,r)}(K^r) spanned by its images (the point when
-    r > n).  Simpliciality is checked by the map constructor, not assumed."""
+    r > n). The target's cells, words of r-tuples of simplices of K, are
+    faced in K: no smash power is built, and SMap.build checks simpliciality.
+
+    >>> from ehpcalc.simplicial import build_sphere
+    >>> james_hopf_map(build_sphere(1), 3, 2).target.n_generators
+    17
+    """
     if n < 1 or r < 1:
         raise DomainError("levels must be >= 1")
+    _check_factors(r)
     J, words = _james_data(K, n)
-    images, cores = {}, {}
+    named = cache(lambda xs: simplex_token(smash_power_class(K, r, xs)))
+    faces = cache(lambda x: [face(K, x, i) for i in range(x.dim + 1)])  # x recurs in many cells
+
+    def hopf_simplex(dim: int, letters) -> tuple[Simplex, JamesWord]:
+        # letters hold r components per class; a class with a basepoint
+        # component is "*", and the others commute with their shared degeneracies
+        groups = (letters[k:k + r] for k in range(0, len(letters), r))
+        kept = [x for xs in groups if all(x.generator != K.basepoint for x in xs) for x in xs]
+        word, core = word_normal_form(_word(K, dim, kept))
+        token = "|".join(named(core.letters[k:k + r]) for k in range(0, len(core), r))
+        return _simplex(f"[{token}]" if token else "*", word, dim), core
+
+    images, cells = {}, {}
     for name, w in words.items():
-        word, core = word_normal_form(james_hopf_word(w, r))
-        images[name] = _simplex(word_token(core), word, w.dim)
-        cores[images[name].generator] = core
-    T, _ = _word_complex(cores.items())
+        images[name], core = hopf_simplex(w.dim, [x for xs in _subsequences(w, r) for x in xs])
+        cells[images[name].generator] = core  # the empty word is the basepoint cell
+    T = _word_complex(cells, lambda core, i: hopf_simplex(core.dim - 1, [faces(x)[i] for x in core.letters])[0])
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 

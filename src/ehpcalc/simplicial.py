@@ -368,9 +368,11 @@ PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
 
 
 def _pair_total(A: SSet, B: SSet, basepoints: bool) -> int:
-    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not."""
-    censuses = (dimension_census(A, basepoints), dimension_census(B, basepoints))
-    return sum(nondegenerate_count(censuses, m) for m in range(A.max_dim + B.max_dim + 1))
+    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not:
+    a p-cell and a q-cell give the Delannoy number sum_k C(p,k) C(q,k) 2^k."""
+    ca, cb = dimension_census(A, basepoints), dimension_census(B, basepoints)
+    return sum(a * b * sum(math.comb(p, k) * math.comb(q, k) << k for k in range(min(p, q) + 1))
+               for p, a in ca.items() for q, b in cb.items())
 
 
 def _check_size(stage: str, size: int) -> None:

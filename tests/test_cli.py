@@ -578,6 +578,16 @@ GOLDEN_ERRORS = [
     (['ehp', 'sequence', '--sphere', 'S[0]'], 1, 'error: the sequence needs simplicial degree >= 2\n'),
     (['homology', '--space', 'S12^S12'], 1, 'error: smash: 251595970 generators, over the cap of 25000\n'),
     (['homology', '--space', 'S4xS4xS4'], 1, 'error: product: 700088 generators, over the cap of 25000\n'),
+    # the Delannoy number D(256, 256) of prism cells on the two top cells,
+    # plus three cells over basepoints in the product, one in the smash
+    (['homology', '--space', 'S256xS256'], 1,
+     'error: product: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060131481474087'
+     '365900788603897239792170063380018210065845972813057494514295615534095492070043781303829612478857'
+     '220 generators, over the cap of 25000\n'),
+    (['homology', '--space', 'S256^S256'], 1,
+     'error: smash: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060131481474087'
+     '365900788603897239792170063380018210065845972813057494514295615534095492070043781303829612478857'
+     '218 generators, over the cap of 25000\n'),
     (['gw', '--expr', '<1e100000000>', '--field', 'q'], 1,
      'error: unit: the decimal exponent gives more than 4300 digits\n'),
     (['gw', '--expr', '<1e' + '9' * 5000 + '>', '--field', 'q'], 1,

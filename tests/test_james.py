@@ -289,9 +289,24 @@ class TestHopfMap:
             james_hopf_map(S1, 3, 2)
 
     def test_target_is_a_subcomplex_of_the_full_truncation(self):
-        for K, n, r in [(S1, 2, 2), (S2, 2, 2), (W, 2, 2), (S0, 4, 2), (S1, 3, 3)]:
+        # the cells of the target are the cores of the Hopf words over the
+        # built smash power, faced there; J_4(S1^S1^S1) and J_3(W^W) are over
+        # the truncation cap, so they are compared cell by cell only
+        for K, n, r in [(S1, 2, 2), (S2, 2, 2), (W, 2, 2), (S0, 4, 2), (S1, 3, 3),
+                        (S1, 4, 3), (W, 3, 3), (W, 3, 2), (S1, 2, 1), (W, 3, 1)]:
             T = james_hopf_map(K, n, r).target
-            full = james_truncation(smash_power(K, r), comb(n, r))
+            cores = {word_token(c): c for _, c in
+                     (word_normal_form(james_hopf_word(w, r)) for w in james_words(K, n).values())}
+            assert set(T.generators()) == {"*", *cores}
+            for g, c in cores.items():
+                assert T.dim_of(g) == c.dim
+                if c.dim > 0:
+                    assert T.faces_of(g) == tuple(james._word_simplex(word_face(c, i)) for i in range(c.dim + 1))
+            try:
+                full = james_truncation(smash_power(K, r), comb(n, r))
+            except CapExceeded:
+                assert (K, n, r) in [(S1, 4, 3), (W, 3, 2)]
+                continue
             assert T.basepoint == full.basepoint
             for g in T.generators():
                 assert T.dim_of(g) == full.dim_of(g)
@@ -300,6 +315,20 @@ class TestHopfMap:
             # J_4(S0) has words of 0..4 letters, whose pair words have
             # 0, 0, 1, 3 and 6 letters: 2, 4 and 5 are missed
             assert (T == full) is (K is not S0)
+
+    def test_target_built_without_smash_power(self):
+        # constant maps answer although W^6 is over the smash cap, and the
+        # subsequence and factor caps still refuse
+        built = smash_power.cache_info().currsize
+        for K, n, r in [(W, 2, 6), (S2, 2, 4)]:
+            H = james_hopf_map(K, n, r)
+            assert H.target.n_generators == 1
+            assert all(img.generator == "*" for _, img in H.images)
+        with pytest.raises(CapExceeded, match="hopf word: 54264 subsequences, over the cap of 25000"):
+            james_hopf_map(S0, 30, 15)
+        with pytest.raises(CapExceeded, match="smash power: 1000000000 factors exceed the cap of 1000"):
+            james_hopf_map(S1, 2, 10**9)
+        assert smash_power.cache_info().currsize == built
 
     def test_word_level_commutation_where_the_target_is_large(self):
         # the subsequence map commutes with every operator, checked on words
