@@ -23,7 +23,6 @@ from .simplicial import (
     degenerate,
     face,
     identity_map,
-    is_isomorphic,
     point,
     product,
     simplex_token,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 from .simplicial import SSet
@@ -347,11 +346,6 @@ def smith_normal_form(M: IntegerMatrix) -> tuple[list[int], IntegerMatrix, Integ
 
 def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
     """Reduced integral homology by degree; trivial degrees are omitted."""
-    return dict(_reduced_homology_items(K))
-
-
-@lru_cache(maxsize=None)
-def _reduced_homology_items(K: SSet) -> tuple[tuple[int, HomologyGroup], ...]:
     gens, columns = _boundary_columns(K, reduced=True)
     _check_composites(columns)
     ranks = [0] * (len(gens) + 1)
@@ -361,12 +355,12 @@ def _reduced_homology_items(K: SSet) -> tuple[tuple[int, HomologyGroup], ...]:
         ranks[n] = len(factors)
         # factors of the boundary out of degree n give torsion one degree down
         torsion[n - 1] = tuple(d for d in factors if d > 1)
-    out = []
+    out = {}
     for n, names in enumerate(gens):
         group = HomologyGroup(len(names) - ranks[n] - ranks[n + 1], torsion[n])
         if not group.is_trivial:
-            out.append((n, group))
-    return tuple(out)
+            out[n] = group
+    return out
 
 
 def euler_characteristic(K: SSet) -> int:

@@ -41,9 +41,8 @@ def _check_factors(r: int) -> None:
         raise CapExceeded(f"smash power: {r} factors exceed the cap of {SMASH_FACTOR_CAP}")
 
 
-@lru_cache(maxsize=None)
 def smash_power(K: SSet, r: int) -> SSet:
-    """Left-associated smash power; smash counts each step before building it."""
+    """Left-associated smash power; smash counts and caches each step."""
     _check_factors(r)
     return reduce(smash, [K] * r)
 
@@ -145,7 +144,12 @@ def james_census(K: SSet, n: int) -> dict[int, int]:
     included, counted from the census of K without building it;
     CapExceeded past TRUNCATION_CAP. The cores of l letters, of dimension at
     most top, cover the m degeneracy indices exactly when l * top >= m, so
-    every term visited is positive and at most the cap are visited."""
+    every term visited is positive and at most the cap are visited.
+
+    >>> from ehpcalc.simplicial import build_sphere
+    >>> james_census(build_sphere(1), 2)
+    {0: 1, 1: 2, 2: 2}
+    """
     if n < 1:
         raise DomainError("truncation level must be >= 1")
     census = dimension_census(K, basepoint=False)
@@ -191,13 +195,18 @@ def suspension_unit_E(K: SSet, n: int) -> SMap:
     return SMap.build(K, J, images | {K.basepoint: J.basepoint_simplex(0)})
 
 
+def _subsequence_count(length: int, r: int) -> int:
+    count = math.comb(length, r)
+    if count > SMASH_POWER_CAP:
+        raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
+    return count
+
+
 def _subsequences(w: JamesWord, r: int):
     """The r-fold subsequences of w's letters, lexicographic, under the cap."""
     if r < 1:
         raise DomainError("subsequence length must be >= 1")
-    count = math.comb(len(w.letters), r)
-    if count > SMASH_POWER_CAP:
-        raise CapExceeded(f"hopf word: {count} subsequences, over the cap of {SMASH_POWER_CAP}")
+    count = _subsequence_count(len(w.letters), r)
     return itertools.combinations(w.letters, r) if count else ()  # it allocates r indices first
 
 
@@ -233,6 +242,12 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     if n < 1 or r < 1:
         raise DomainError("levels must be >= 1")
     _check_factors(r)
+    james_census(K, n)  # the truncation cap comes first
+    if K.n_generators > 1:
+        # a non-basepoint generator repeated makes words of every length up
+        # to n, so the shortest word past the cap is known before any is built
+        for length in range(r, n + 1):
+            _subsequence_count(length, r)
     J, words = _james_data(K, n)
     named = cache(lambda xs: simplex_token(smash_power_class(K, r, xs)))
     faces = cache(lambda x: [face(K, x, i) for i in range(x.dim + 1)])  # x recurs in many cells

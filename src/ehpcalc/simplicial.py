@@ -25,10 +25,6 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError, ExprParseError
 
-# Backtracking isomorphism search refuses larger complexes, and gives up
-# after this many candidate checks.
-ISO_GENERATOR_CAP = 512
-ISO_NODE_BUDGET = 200_000
 # Largest sphere dimension built: the face table of the one generator of
 # S^n holds n + 1 words of length n - 1, and building and checking it takes
 # memory growing about as n^3.
@@ -575,69 +571,6 @@ def smash_map(f: SMap, g: SMap) -> SMap:
     for name, (sa, sb) in pairs:
         images[name] = smash_class(f.target, g.target, f(sa), g(sb))
     return SMap.build(S, T, images)
-
-
-# -- isomorphism search -------------------------------------------------
-
-
-def is_isomorphic(A: SSet, B: SSet) -> tuple[bool, dict[str, str] | None]:
-    """Exact basepoint-preserving isomorphism test with witness.
-
-    Backtracking over generators in dimension order; faces of each
-    candidate must match the partial map already built.  Deterministic.
-    Raises CapExceeded past ISO_NODE_BUDGET candidate checks.
-    """
-    if A.n_generators > ISO_GENERATOR_CAP or B.n_generators > ISO_GENERATOR_CAP:
-        raise CapExceeded(f"isomorphism search capped at {ISO_GENERATOR_CAP} generators")
-    dims_a: dict[int, list[str]] = {}
-    dims_b: dict[int, list[str]] = {}
-    for n, d in A.gens:
-        dims_a.setdefault(d, []).append(n)
-    for n, d in B.gens:
-        dims_b.setdefault(d, []).append(n)
-    if {d: len(v) for d, v in dims_a.items()} != {d: len(v) for d, v in dims_b.items()}:
-        return False, None
-    order = [n for n, _ in A.gens if n != A.basepoint]
-    mapping = {A.basepoint: B.basepoint}
-
-    def compatible(a: str, b: str) -> bool:
-        d = A.dim_of(a)
-        if d != B.dim_of(b):
-            return False
-        if d == 0:
-            return True
-        for fa, fb in zip(A.faces_of(a), B.faces_of(b)):
-            if fa.word != fb.word or mapping[fa.generator] != fb.generator:
-                return False
-        return True
-
-    used: set[str] = {B.basepoint}
-    nodes = 0
-
-    def search(k: int) -> bool:
-        nonlocal nodes
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in dims_b[A.dim_of(a)]:
-            if b in used or b == B.basepoint:
-                continue
-            nodes += 1
-            if nodes > ISO_NODE_BUDGET:
-                raise CapExceeded(
-                    f"isomorphism search: {nodes} candidate checks exceed the budget of {ISO_NODE_BUDGET}")
-            if compatible(a, b):
-                mapping[a] = b
-                used.add(b)
-                if search(k + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    if search(0):
-        return True, dict(mapping)
-    return False, None
 
 
 # -- serialization ------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code paths of the implementation it
 checks: counts come from first-principles enumeration, homology ranks
-from rational row reduction, isometry from representation numbers.
+from rational row reduction, isometry from representation numbers, and
+isomorphisms of simplicial sets from a face-by-face check of a witness.
 """
 from __future__ import annotations
 
@@ -343,6 +344,20 @@ def reference_joint_normal_form(complexes, xs, dim: int):
     for i in reversed(strips):
         word = reference_insert_degeneracy(word, i)
     return word, cur
+
+
+def assert_generator_isomorphism(A, B, witness):
+    """witness is a dimension-preserving bijection from the generators of A
+    onto those of B, and sends each face s_W(y) of a generator to the same
+    face of its image, which must be s_W(witness[y])."""
+    assert sorted(witness) == sorted(A.generators())
+    assert sorted(witness.values()) == sorted(B.generators())
+    assert witness[A.basepoint] == B.basepoint
+    for a, b in witness.items():
+        assert A.dim_of(a) == B.dim_of(b)
+        if A.dim_of(a) > 0:
+            for fa, fb in zip(A.faces_of(a), B.faces_of(b)):
+                assert (witness[fa.generator], fa.word) == (fb.generator, fb.word)
 
 
 # -- the expanded-tuple form store that ehpcalc.gw replaced by counts per

@@ -38,14 +38,14 @@ from ehpcalc.simplicial import (
     degenerate,
     face as simplicial_face,
     fold_map,
-    is_isomorphic,
     point,
     product,
     smash_map,
+    smash_with_pairs,
     wedge,
 )
 
-from oracles import increasing_tuples, james_cell_count
+from oracles import assert_generator_isomorphism, increasing_tuples, james_cell_count
 
 S0, S1, S2 = build_sphere(0), build_sphere(1), build_sphere(2)
 W = wedge(S1, S1)
@@ -118,8 +118,9 @@ class TestWords:
 class TestTruncation:
     def test_level_one_recovers_the_space(self):
         for K in [S0, S1, S2, W]:
-            ok, _ = is_isomorphic(james_truncation(K, 1), K)
-            assert ok
+            E = suspension_unit_E(K, 1)
+            inverse = {img.generator: g for g, img in E.images}
+            assert_generator_isomorphism(james_truncation(K, 1), K, inverse)
 
     def test_circle_level_two_counts(self):
         J = james_truncation(S1, 2)
@@ -319,7 +320,7 @@ class TestHopfMap:
     def test_target_built_without_smash_power(self):
         # constant maps answer although W^6 is over the smash cap, and the
         # subsequence and factor caps still refuse
-        built = smash_power.cache_info().currsize
+        built = smash_with_pairs.cache_info().currsize
         for K, n, r in [(W, 2, 6), (S2, 2, 4)]:
             H = james_hopf_map(K, n, r)
             assert H.target.n_generators == 1
@@ -328,7 +329,22 @@ class TestHopfMap:
             james_hopf_map(S0, 30, 15)
         with pytest.raises(CapExceeded, match="smash power: 1000000000 factors exceed the cap of 1000"):
             james_hopf_map(S1, 2, 10**9)
-        assert smash_power.cache_info().currsize == built
+        assert smash_with_pairs.cache_info().currsize == built
+
+    def test_subsequence_cap_refused_before_any_word_is_built(self, monkeypatch):
+        # the first word past the cap is the shortest one, known from n and r;
+        # the truncation cap still comes first
+        def unreachable(choices, m):
+            raise AssertionError("a hopf map past the cap was enumerated")
+
+        monkeypatch.setattr(james, "nondegenerate_tuples", unreachable)
+        with pytest.raises(CapExceeded, match="^hopf word: 25200 subsequences, over the cap of 25000$"):
+            james_hopf_map(S0, 1999, 2)
+        with pytest.raises(CapExceeded, match="^hopf word: 54264 subsequences, over the cap of 25000$"):
+            james_hopf_map(S0, 30, 15)
+        for K, n, r in [(wedge(S1, S0), 40, 3), (S0, 2000, 2)]:
+            with pytest.raises(CapExceeded, match=f"^truncation exceeds {TRUNCATION_CAP} generators$"):
+                james_hopf_map(K, n, r)
 
     def test_word_level_commutation_where_the_target_is_large(self):
         # the subsequence map commutes with every operator, checked on words
@@ -360,9 +376,9 @@ class TestSmashPowerBudget:
 
     def test_classes_are_named_without_building(self):
         a, b = W.simplex("l.e1"), W.simplex("r.e1")
-        built = smash_power.cache_info().currsize
+        built = smash_with_pairs.cache_info().currsize
         x = smash_power_class(W, 6, (a, b) * 3)
-        assert smash_power.cache_info().currsize == built
+        assert smash_with_pairs.cache_info().currsize == built
         assert x == Simplex("(((((l.e1^r.e1)^l.e1)^r.e1)^l.e1)^r.e1)", (), 1)
         with pytest.raises(CapExceeded):
             smash_power(W, 6)
@@ -383,15 +399,14 @@ class TestSmashPowerBudget:
 class TestQuotient:
     def test_level_one_is_the_space(self):
         Q, witness = james_quotient(S1, 1)
-        assert witness is not None
-        ok, _ = is_isomorphic(Q, S1)
-        assert ok
+        assert witness == {"*": "*", "[e1]": "e1"}
+        assert_generator_isomorphism(Q, S1, witness)
 
     def test_circle_level_two_is_the_smash_square(self):
         Q, witness = james_quotient(S1, 2)
-        target = smash_power(S1, 2)
-        ok, expected = is_isomorphic(Q, target)
-        assert ok and witness == expected
+        assert witness == {"*": "*", "[e1|e1]": "(e1^e1)", "[s0.e1|s1.e1]": "(s0.e1^s1.e1)",
+                           "[s1.e1|s0.e1]": "(s1.e1^s0.e1)"}
+        assert_generator_isomorphism(Q, smash_power(S1, 2), witness)
 
     def test_sphere_level_two_homology(self):
         Q, _ = james_quotient(S2, 2)
