@@ -9,13 +9,16 @@ The argument parser is built once, at import, by build_parser. The
 expression grammars share their front end: _scan splits a string into
 tokens, _Cursor walks them, _fold reads a chain of one left-associative
 operator, _signed_sum reads terms joined by + and -, and _int and
-_fraction are the one readers of integers and rational numbers.
+_fraction are the one readers of integers and rational numbers. Space
+expressions fold into an _Algebra: built complexes for parse_space, and
+reduced chains for homology, which builds only the atoms.
 """
 
 import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -43,7 +46,7 @@ from .gw import (
     rationals,
     real_closed,
 )
-from .homology import homology_to_doc, reduced_homology
+from .homology import chain_homology, direct_sum, homology_to_doc, reduced_chains, reduced_product, tensor
 from .james import JamesWord, james_census, james_hopf_letters, james_quotient, james_truncation
 from .kmw import (
     SheafExpr,
@@ -128,23 +131,24 @@ class _Cursor:
         if self.peek():
             raise ExprParseError(f"unexpected trailing token {self.peek()!r}")
 
-    def nested(self, parse):
-        """parse(self) one nesting level deeper, refused past MAX_NESTING levels."""
+    def nested(self, parse, *args):
+        """parse(self, *args) one nesting level deeper, refused past MAX_NESTING levels."""
         if self.depth >= MAX_NESTING:
             raise ExprParseError(f"{self.what} expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
         try:
-            return parse(self)
+            return parse(self, *args)
         finally:
             self.depth -= 1
 
 
-def _fold(cur, op, operand, combine):
-    """operand (op operand)*, combined from the left."""
-    x = operand(cur)
+def _fold(cur, op, operand, combine, *args):
+    """operand (op operand)*, combined from the left; operand(cur, *args)
+    reads each operand."""
+    x = operand(cur, *args)
     while cur.peek() == op:
         cur.take()
-        x = combine(x, operand(cur))
+        x = combine(x, operand(cur, *args))
     return x
 
 
@@ -188,11 +192,24 @@ def _fraction(body: str, what: str) -> Fraction:
 _SPACE_RE = re.compile(r"S\d+|pt|J|Q|\d+|[+^x(),]")
 
 
+# What a space expression folds into: lift(K) of each atom K built, then
+# the combines of +, x and ^.
+_Algebra = namedtuple("_Algebra", "lift wedge product smash")
+# built complexes, for parse_space and whatever sits inside J(..) and Q(..)
+_BUILD = _Algebra(lambda K: K, wedge, product, smash)
+# reduced chains (Eilenberg-Zilber), for homology: atoms alone are built
+_CHAINS = _Algebra(reduced_chains, direct_sum, reduced_product, tensor)
+
+
 def parse_space(text: str) -> SSet:
+    return _eval_space(text, _BUILD)
+
+
+def _eval_space(text: str, alg: _Algebra):
     cur = _Cursor(_scan(text, _SPACE_RE, "space"), "space")
-    K = _space_sum(cur)
+    x = _space_sum(cur, alg)
     cur.done()
-    return K
+    return x
 
 
 def _space_level(cur) -> int:
@@ -202,30 +219,37 @@ def _space_level(cur) -> int:
     return _int(tok, "level")
 
 
-def _space_atom(cur) -> SSet:
+def _space_atom(cur, alg: _Algebra):
     tok = cur.take()
     if tok == "(":
-        K = cur.nested(_space_sum)
+        x = cur.nested(_space_sum, alg)
         cur.take(")")
-        return K
+        return x
     if tok == "pt":
-        return point()
+        return alg.lift(point())
     if tok[0] == "S" and tok[1:].isdigit():
-        return build_sphere(_int(tok[1:], "sphere dimension"))
+        return alg.lift(build_sphere(_int(tok[1:], "sphere dimension")))
     if tok in ("J", "Q"):
         cur.take("(")
-        K = cur.nested(_space_sum)
+        K = cur.nested(_space_sum, _BUILD)
         cur.take(",")
         n = _space_level(cur)
         cur.take(")")
-        return james_truncation(K, n) if tok == "J" else james_quotient(K, n)[0]
+        return alg.lift(james_truncation(K, n) if tok == "J" else james_quotient(K, n)[0])
     raise ExprParseError(f"unexpected token {tok!r}")
 
 
 # smash binds tightest, then product, then wedge
-_space_smash = partial(_fold, op="^", operand=_space_atom, combine=smash)
-_space_product = partial(_fold, op="x", operand=_space_smash, combine=product)
-_space_sum = partial(_fold, op="+", operand=_space_product, combine=wedge)
+def _space_smash(cur, alg: _Algebra):
+    return _fold(cur, "^", _space_atom, alg.smash, alg)
+
+
+def _space_product(cur, alg: _Algebra):
+    return _fold(cur, "x", _space_smash, alg.product, alg)
+
+
+def _space_sum(cur, alg: _Algebra):
+    return _fold(cur, "+", _space_product, alg.wedge, alg)
 
 
 # -- james words: letters split on |, each "s1 s0 name" with ops outermost first
@@ -393,8 +417,7 @@ def _render(args, text: str, doc: dict) -> str:
 
 
 def cmd_homology(args) -> str:
-    K = parse_space(args.space)
-    groups = reduced_homology(K)
+    groups = chain_homology(_eval_space(args.space, _CHAINS))
     text = "{" + ", ".join(f"{n}: {g}" for n, g in sorted(groups.items())) + "}"
     doc = {"space": args.space, "groups": homology_to_doc(groups)}
     return _render(args, text, doc)

@@ -1,19 +1,28 @@
 """Integer chain complexes, Smith normal form, reduced homology.
 
-One sparse elimination, _smith, serves both: on sparse columns, one
-{row: coeff} dict each, it takes the +-1 pivots first (Kaczynski-Mrozek-
+One chain value serves every homology answer: a list of sparse boundary
+columns by degree, columns[n][j] the boundary of cell j of degree n as
+{row: coeff} over the cells of degree n - 1, so degree n has
+len(columns[n]) cells. reduced_chains reads it off a complex;
+direct_sum, tensor and reduced_product give the chains of a wedge, a
+smash and a product from those of the parts (Eilenberg-Zilber, so the
+Kunneth Tor terms come through), with no complex built. chain_homology
+checks d o d = 0 and reads the groups off it.
+
+One sparse elimination, _smith, serves both homology and dense matrices:
+on sparse columns it takes the +-1 pivots first (Kaczynski-Mrozek-
 Slusarek; Dumas-Heckenbach-Saunders-Welker), then Euclid steps on the
-smallest entry. reduced_homology reads its invariant factors off the
-boundary columns and never builds a dense matrix; smith_normal_form asks it
-for certificates too, U and V with U*M*V = diag(factors).
+smallest entry. Homology reads its invariant factors off the boundary
+columns and never builds a dense matrix; smith_normal_form asks it for
+certificates too, U and V with U*M*V = diag(factors).
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .simplicial import SSet
+from .errors import CapExceeded, DomainError
+from .simplicial import SMASH_POWER_CAP, SSet
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,9 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-# Sparse columns: columns[n][j] is the boundary of generator j of degree n
-# as {row: coeff} over the generators of degree n - 1, zeros left out.
+# Sparse columns: columns[n][j] is the boundary of cell j of degree n as
+# {row: coeff} over the cells of degree n - 1, zeros left out; a chain value
+# is a list[Columns], one per degree.
 Columns = list[dict[int, int]]
 
 
@@ -344,23 +354,79 @@ def smith_normal_form(M: IntegerMatrix) -> tuple[list[int], IntegerMatrix, Integ
             IntegerMatrix.from_rows(list(zip(*V_cols)), m))
 
 
-def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
-    """Reduced integral homology by degree; trivial degrees are omitted."""
-    gens, columns = _boundary_columns(K, reduced=True)
+def chain_homology(columns: list[Columns]) -> dict[int, HomologyGroup]:
+    """Homology of the chain value columns by degree; trivial degrees are omitted."""
     _check_composites(columns)
-    ranks = [0] * (len(gens) + 1)
-    torsion: list[tuple[int, ...]] = [()] * len(gens)
-    for n in range(1, len(gens)):
+    ranks = [0] * (len(columns) + 1)
+    torsion: list[tuple[int, ...]] = [()] * len(columns)
+    for n in range(1, len(columns)):
         factors = [abs(d) for _, _, d in _smith(columns[n])[0]]
         ranks[n] = len(factors)
         # factors of the boundary out of degree n give torsion one degree down
         torsion[n - 1] = tuple(d for d in factors if d > 1)
     out = {}
-    for n, names in enumerate(gens):
-        group = HomologyGroup(len(names) - ranks[n] - ranks[n + 1], torsion[n])
+    for n, cells in enumerate(columns):
+        group = HomologyGroup(len(cells) - ranks[n] - ranks[n + 1], torsion[n])
         if not group.is_trivial:
             out[n] = group
     return out
+
+
+def reduced_chains(K: SSet) -> list[Columns]:
+    """The reduced normalized chains of K as a chain value."""
+    return _boundary_columns(K, reduced=True)[1]
+
+
+def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
+    """Reduced integral homology by degree; trivial degrees are omitted."""
+    return chain_homology(reduced_chains(K))
+
+
+def direct_sum(A: list[Columns], B: list[Columns]) -> list[Columns]:
+    """A + B: in each degree A's cells, then B's, B's rows shifted past A's
+    cells one degree down. The columns of A are shared, not copied."""
+    top = max(len(A), len(B))
+    A, B = A + [[]] * (top - len(A)), B + [[]] * (top - len(B))
+    return [A[0] + B[0]] + [A[n] + [{r + len(A[n - 1]): v for r, v in col.items()} for col in B[n]]
+                            for n in range(1, top)]
+
+
+def tensor(A: list[Columns], B: list[Columns], stage: str = "smash") -> list[Columns]:
+    """A (x) B, with d(a (x) b) = da (x) b + (-1)^|a| a (x) db. The cells of
+    degree n are the pairs of degree (p, n - p), ordered by p, then a, then
+    b. Counted before any column is built, and refused past SMASH_POWER_CAP."""
+    size = sum(map(len, A)) * sum(map(len, B))
+    if size > SMASH_POWER_CAP:
+        raise CapExceeded(f"{stage}: {size} chain cells, over the cap of {SMASH_POWER_CAP}")
+    # start[n][p]: index of the first cell (a, b) with |a| = p among degree n
+    start = []
+    for n in range(len(A) + len(B) - 1):
+        offsets, k = {}, 0
+        for p in range(max(0, n - len(B) + 1), min(n, len(A) - 1) + 1):
+            offsets[p] = k
+            k += len(A[p]) * len(B[n - p])
+        start.append(offsets)
+    out = []
+    for n, offsets in enumerate(start):
+        cols = []
+        for p in offsets:
+            q = n - p
+            nb, nb_down = len(B[q]), len(B[q - 1]) if q else 0
+            below = start[n - 1] if n else {}
+            below_a, below_b = below.get(p - 1), below.get(p)
+            sign = -1 if p & 1 else 1
+            for i, da in enumerate(A[p]):
+                for j, db in enumerate(B[q]):
+                    col = {below_a + r * nb + j: v for r, v in da.items()}
+                    col.update({below_b + i * nb_down + r: sign * v for r, v in db.items()})
+                    cols.append(col)
+        out.append(cols)
+    return out
+
+
+def reduced_product(A: list[Columns], B: list[Columns]) -> list[Columns]:
+    """Reduced chains of a product: A (x) B + A + B."""
+    return direct_sum(direct_sum(tensor(A, B, "product"), A), B)
 
 
 def euler_characteristic(K: SSet) -> int:

@@ -154,11 +154,16 @@ class SSet:
                 if f.dim != d - 1 or self.dim_of(f.generator) + len(f.word) != f.dim:
                     raise DomainError(f"face {i} of {name!r} has inconsistent dimension")
         # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators;
-        # ff[j][i] = d_i d_j x, each computed once
+        # ff[j][i] = d_i d_j x, computed once per distinct face simplex
+        faces_of: dict[Simplex, list[Simplex]] = {}
         for name, d in self.gens:
             if d < 2:
                 continue
-            ff = [[face(self, f, i) for i in range(d)] for f in self._faces[name]]
+            ff = []
+            for f in self._faces[name]:
+                if f not in faces_of:
+                    faces_of[f] = [face(self, f, i) for i in range(d)]
+                ff.append(faces_of[f])
             for j in range(1, d + 1):
                 for i in range(j):
                     if ff[j][i] != ff[i][j - 1]:

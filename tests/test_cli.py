@@ -519,6 +519,13 @@ class TestDeterminism:
         capsys.readouterr()
 
 
+def _circles(k):
+    """A wedge of k circles."""
+    return "(" + "+".join(["S1"] * k) + ")"
+
+
+_CIRCLES_200 = _circles(200)
+
 # (argv, exit code, full stderr) for malformed input to each grammar, as
 # recorded before the grammars shared their front end.
 GOLDEN_ERRORS = [
@@ -576,18 +583,11 @@ GOLDEN_ERRORS = [
     (['ehp', 'sequence', '--sphere', 'S[2+a]'], 2, "parse error: bad sphere 'S[2+a]'; write S[n] or S[n+qa]\n"),
     (['ehp', 'sequence', '--sphere', 'T[2]'], 2, "parse error: bad sphere 'T[2]'; write S[n] or S[n+qa]\n"),
     (['ehp', 'sequence', '--sphere', 'S[0]'], 1, 'error: the sequence needs simplicial degree >= 2\n'),
-    (['homology', '--space', 'S12^S12'], 1, 'error: smash: 251595970 generators, over the cap of 25000\n'),
-    (['homology', '--space', 'S4xS4xS4'], 1, 'error: product: 700088 generators, over the cap of 25000\n'),
-    # the Delannoy number D(256, 256) of prism cells on the two top cells,
-    # plus three cells over basepoints in the product, one in the smash
-    (['homology', '--space', 'S256xS256'], 1,
-     'error: product: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060131481474087'
-     '365900788603897239792170063380018210065845972813057494514295615534095492070043781303829612478857'
-     '220 generators, over the cap of 25000\n'),
-    (['homology', '--space', 'S256^S256'], 1,
-     'error: smash: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060131481474087'
-     '365900788603897239792170063380018210065845972813057494514295615534095492070043781303829612478857'
-     '218 generators, over the cap of 25000\n'),
+    # the tensor cells of two wedges of circles, counted before any is built
+    (['homology', '--space', f"{_CIRCLES_200}^{_CIRCLES_200}"], 1,
+     'error: smash: 40000 chain cells, over the cap of 25000\n'),
+    (['homology', '--space', f"{_circles(250)}x{_circles(101)}"], 1,
+     'error: product: 25250 chain cells, over the cap of 25000\n'),
     (['gw', '--expr', '<1e100000000>', '--field', 'q'], 1,
      'error: unit: the decimal exponent gives more than 4300 digits\n'),
     (['gw', '--expr', '<1e' + '9' * 5000 + '>', '--field', 'q'], 1,
@@ -618,6 +618,21 @@ def _golden_id(argv):
 @pytest.mark.parametrize("argv, code, err", GOLDEN_ERRORS, ids=[_golden_id(a) for a, _, _ in GOLDEN_ERRORS])
 def test_golden_errors(argv, code, err, capsys):
     assert run_cli(argv, capsys) == (code, "", err)
+
+
+# Products and smashes whose built complexes pass the generator cap: homology
+# takes them from the chains of their factors.
+COMPOSITE_ANSWERS = [
+    ("S12^S12", "{24: Z}\n"),
+    ("S4xS4xS4", "{4: Z^3, 8: Z^3, 12: Z}\n"),
+    ("S256xS256", "{256: Z^2, 512: Z}\n"),
+    ("S256^S256", "{512: Z}\n"),
+]
+
+
+@pytest.mark.parametrize("space, out", COMPOSITE_ANSWERS, ids=[space for space, _ in COMPOSITE_ANSWERS])
+def test_composites_past_the_generator_cap_answer(space, out, capsys):
+    assert run_cli(["homology", "--space", space], capsys) == (0, out, "")
 
 
 def test_main_builds_no_parser(capsys, monkeypatch):
@@ -655,8 +670,9 @@ BOUNDED_INPUTS = [
     (["hopf", "--word", "x", "--dim", "0", "-r", "1000000000"], "*\n"),
     (["hopf", "--word", "|".join(_TEN_LETTERS), "-r", "4"], _TEN_LETTER_HOPF + "\n"),
     (["hopf", "--word", "|".join(["x"] * 60), "--dim", "0", "-r", "30"], None),
-    (["homology", "--space", "S12^S12"], None),
-    (["homology", "--space", "S4xS4xS4"], None),
+    (["homology", "--space", "S12^S12"], "{24: Z}\n"),
+    (["homology", "--space", "S4xS4xS4"], "{4: Z^3, 8: Z^3, 12: Z}\n"),
+    (["homology", "--space", f"{_CIRCLES_200}^{_CIRCLES_200}"], None),
     (["homology", "--space", "J(pt,100000000)"], "{}\n"),
     (["james", "--space", "pt", "-n", "100000000"], "{0: 1}\n"),
     (["james", "--space", "S1", "-n", "100000000"], None),

@@ -1,13 +1,15 @@
 """Smith normal form and reduced integral homology."""
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehpcalc.errors import DomainError
+from ehpcalc import cli, simplicial
+from ehpcalc.errors import CapExceeded, DomainError
 from ehpcalc.homology import (
     ChainComplex,
     HomologyGroup,
@@ -15,9 +17,14 @@ from ehpcalc.homology import (
     euler_characteristic,
     homology_to_doc,
     _smith,
+    chain_homology,
+    direct_sum,
     normalized_chain_complex,
+    reduced_chains,
     reduced_homology,
+    reduced_product,
     smith_normal_form,
+    tensor,
 )
 from ehpcalc.james import smash_power
 from ehpcalc.simplicial import SSet, Simplex, build_sphere, point, product, smash, suspension, wedge
@@ -205,6 +212,60 @@ class TestTorsion:
         assert homology_to_doc(reduced_homology(MOORE)) == [
             {"degree": 1, "free_rank": 0, "torsion": [2]}
         ]
+
+
+ATOMS = {"pt": point(), "S0": S0, "S1": S1, "S2": S2, "M": MOORE}
+
+# composites of up to three atoms: an atom's name, or (op, left, right)
+composites = st.recursive(st.sampled_from(sorted(ATOMS)),
+                          lambda sub: st.tuples(st.sampled_from("+x^"), sub, sub), max_leaves=3)
+
+
+def built(e):
+    if isinstance(e, str):
+        return ATOMS[e]
+    op, a, b = e
+    return {"+": wedge, "x": product, "^": smash}[op](built(a), built(b))
+
+
+def chains(e):
+    if isinstance(e, str):
+        return reduced_chains(ATOMS[e])
+    op, a, b = e
+    return {"+": direct_sum, "x": reduced_product, "^": tensor}[op](chains(a), chains(b))
+
+
+class TestChainsOfParts:
+    """Eilenberg-Zilber: the chains of a wedge, product or smash from those of its parts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(composites)
+    def test_match_the_built_complex(self, e):
+        assert chain_homology(chains(e)) == reduced_homology(built(e))
+
+    def test_kunneth_tor_terms(self):
+        assert chain_homology(chains(("^", "M", "M"))) == {2: HomologyGroup(0, (2,)), 3: HomologyGroup(0, (2,))}
+        assert chain_homology(chains(("x", "M", "S1"))) == {1: HomologyGroup(1, (2,)), 2: HomologyGroup(0, (2,))}
+        assert chain_homology(chains(("x", "M", "M"))) == {
+            1: HomologyGroup(0, (2, 2)), 2: HomologyGroup(0, (2,)), 3: HomologyGroup(0, (2,))}
+
+    def test_tensor_counted_before_built(self):
+        many = [[{}] * 200, []]  # 200 cells in degree 0
+        with pytest.raises(CapExceeded, match="^smash: 40000 chain cells, over the cap of 25000$"):
+            tensor(many, many)
+        with pytest.raises(CapExceeded, match="^product: 40000 chain cells, over the cap of 25000$"):
+            reduced_product(many, many)
+
+    def test_cli_builds_no_product(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a product or smash was built")
+
+        monkeypatch.setattr(simplicial, "_pair_complex", unreachable)
+        # fresh caches, so that no product built earlier is handed back
+        for name in ("product_with_pairs", "smash_with_pairs"):
+            monkeypatch.setattr(simplicial, name, functools.lru_cache(getattr(simplicial, name).__wrapped__))
+        assert cli.main(["homology", "--space", "S2xS2xS2"]) == 0
+        assert capsys.readouterr().out == "{2: Z^3, 4: Z^3, 6: Z}\n"
 
 
 class TestHomologyGroup:

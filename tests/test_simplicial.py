@@ -423,3 +423,16 @@ class TestValidation:
     def test_missing_face_rejected(self):
         with pytest.raises(DomainError):
             SSet.build("*", {"*": 0, "a": 1}, {})
+
+    def test_faces_of_a_repeated_face_taken_once(self, monkeypatch):
+        # the 257 faces of e256 are one degenerate basepoint simplex, whose
+        # 256 faces the identity check needs once, not once per face
+        calls = []
+
+        def counting(K, x, i):
+            calls.append(i)
+            return face(K, x, i)
+
+        monkeypatch.setattr(simplicial, "face", counting)
+        build_sphere(256)
+        assert len(calls) == 256

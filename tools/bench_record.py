@@ -1,0 +1,73 @@
+"""Record the benchmark of this checkout against a parent checkout.
+
+    python3 tools/bench_record.py --parent ../parent --out BENCH_16.json
+
+For each of PAIRS pairs and each workload, runs
+
+    python3 perfbench/run.py --workload W --seed S
+
+once in the parent checkout and once in this one, alternating which side
+goes first, and keeps the last line of each run's stdout (one JSON object).
+The run length is perfbench's own. The output file holds every run, the
+medians of each end-to-end metric per workload and side, and the machine
+the runs were made on. Standard library only; perfbench itself is run as
+it is.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("homology_cold", "library_session", "forms_stream")
+# ten pairs: the fewest that can back a claimed gain
+PAIRS = 10
+
+
+def run_once(root: str, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def medians(runs: list[dict]) -> dict:
+    names = runs[0]["metrics"]
+    return {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in names}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="root of the parent checkout")
+    p.add_argument("--out", required=True, help="file to write, e.g. BENCH_16.json")
+    p.add_argument("--seed", type=int, default=601)
+    args = p.parse_args(argv)
+
+    sides = {"parent": os.path.abspath(args.parent), "change": HERE}
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    for i in range(PAIRS):
+        for w in WORKLOADS:
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                print(f"pair {i + 1}/{PAIRS}: {w} on {side}", file=sys.stderr)
+                runs[w][side].append(run_once(sides[side], w, args.seed))
+    doc = {
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed}",
+        "machine": {"python": platform.python_version(), "system": platform.platform(),
+                    "cpus": os.cpu_count()},
+        "pairs": PAIRS,
+        "medians": {w: {side: medians(r) for side, r in by_side.items()} for w, by_side in runs.items()},
+        "runs": runs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
