@@ -11,7 +11,8 @@ tokens, _Cursor walks them, _fold reads a chain of one left-associative
 operator, _signed_sum reads terms joined by + and -, and _int and
 _fraction are the one readers of integers and rational numbers. Space
 expressions fold into an _Algebra: built complexes for parse_space, and
-reduced chains for homology, which builds only the atoms.
+reduced chains for homology, which builds only the spheres and the point
+and takes J(K,n) and Q(K,n) from tensor powers of K's chains.
 """
 
 import argparse
@@ -46,7 +47,8 @@ from .gw import (
     rationals,
     real_closed,
 )
-from .homology import chain_homology, direct_sum, homology_to_doc, reduced_chains, reduced_product, tensor
+from .homology import (chain_homology, direct_sum, homology_to_doc, james_chains, reduced_chains,
+                       reduced_product, tensor)
 from .james import JamesWord, james_census, james_hopf_letters, james_quotient, james_truncation
 from .kmw import (
     SheafExpr,
@@ -192,13 +194,17 @@ def _fraction(body: str, what: str) -> Fraction:
 _SPACE_RE = re.compile(r"S\d+|pt|J|Q|\d+|[+^x(),]")
 
 
-# What a space expression folds into: lift(K) of each atom K built, then
-# the combines of +, x and ^.
-_Algebra = namedtuple("_Algebra", "lift wedge product smash")
-# built complexes, for parse_space and whatever sits inside J(..) and Q(..)
-_BUILD = _Algebra(lambda K: K, wedge, product, smash)
-# reduced chains (Eilenberg-Zilber), for homology: atoms alone are built
-_CHAINS = _Algebra(reduced_chains, direct_sum, reduced_product, tensor)
+# What a space expression folds into: lift(K) of each atom K built, the
+# combines of +, x and ^, and james and quotient for J(K,n) and Q(K,n).
+_Algebra = namedtuple("_Algebra", "lift wedge product smash james quotient")
+# built complexes, for parse_space; the James builders are looked up at each
+# call, so that a profiler's wrapper on this module sees them
+_BUILD = _Algebra(lambda K: K, wedge, product, smash, lambda K, n: james_truncation(K, n),
+                  lambda K, n: james_quotient(K, n)[0])
+# reduced chains (Eilenberg-Zilber and the James splitting), for homology:
+# only the atoms Sn and pt are built
+_CHAINS = _Algebra(reduced_chains, direct_sum, reduced_product, tensor, james_chains,
+                   partial(james_chains, quotient=True))
 
 
 def parse_space(text: str) -> SSet:
@@ -231,11 +237,11 @@ def _space_atom(cur, alg: _Algebra):
         return alg.lift(build_sphere(_int(tok[1:], "sphere dimension")))
     if tok in ("J", "Q"):
         cur.take("(")
-        K = cur.nested(_space_sum, _BUILD)
+        K = cur.nested(_space_sum, alg)
         cur.take(",")
         n = _space_level(cur)
         cur.take(")")
-        return alg.lift(james_truncation(K, n) if tok == "J" else james_quotient(K, n)[0])
+        return (alg.james if tok == "J" else alg.quotient)(K, n)
     raise ExprParseError(f"unexpected token {tok!r}")
 
 

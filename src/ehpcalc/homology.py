@@ -6,8 +6,10 @@ columns by degree, columns[n][j] the boundary of cell j of degree n as
 len(columns[n]) cells. reduced_chains reads it off a complex;
 direct_sum, tensor and reduced_product give the chains of a wedge, a
 smash and a product from those of the parts (Eilenberg-Zilber, so the
-Kunneth Tor terms come through), with no complex built. chain_homology
-checks d o d = 0 and reads the groups off it.
+Kunneth Tor terms come through), with no complex built. james_chains
+gives those of J_n K and of its quotient K^n as sums of tensor powers of
+K's (the James splitting, I. M. James, Ann. of Math. 62, 1955).
+chain_homology checks d o d = 0 and reads the groups off it.
 
 One sparse elimination, _smith, serves both homology and dense matrices:
 on sparse columns it takes the +-1 pivots first (Kaczynski-Mrozek-
@@ -382,13 +384,15 @@ def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:
     return chain_homology(reduced_chains(K))
 
 
-def direct_sum(A: list[Columns], B: list[Columns]) -> list[Columns]:
-    """A + B: in each degree A's cells, then B's, B's rows shifted past A's
-    cells one degree down. The columns of A are shared, not copied."""
-    top = max(len(A), len(B))
-    A, B = A + [[]] * (top - len(A)), B + [[]] * (top - len(B))
-    return [A[0] + B[0]] + [A[n] + [{r + len(A[n - 1]): v for r, v in col.items()} for col in B[n]]
-                            for n in range(1, top)]
+def direct_sum(*parts: list[Columns]) -> list[Columns]:
+    """The parts summed: in each degree their cells in turn, each part's rows
+    shifted past the earlier parts' cells. The first part's columns are shared."""
+    out: list[Columns] = [[] for _ in range(max(map(len, parts)))]
+    for C in parts:
+        shift = [0] + [len(out[n]) for n in range(len(C) - 1)]
+        for n, (cols, b) in enumerate(zip(C, shift)):
+            out[n] += [{r + b: v for r, v in col.items()} for col in cols] if b else cols
+    return out
 
 
 def tensor(A: list[Columns], B: list[Columns], stage: str = "smash") -> list[Columns]:
@@ -398,14 +402,15 @@ def tensor(A: list[Columns], B: list[Columns], stage: str = "smash") -> list[Col
     size = sum(map(len, A)) * sum(map(len, B))
     if size > SMASH_POWER_CAP:
         raise CapExceeded(f"{stage}: {size} chain cells, over the cap of {SMASH_POWER_CAP}")
-    # start[n][p]: index of the first cell (a, b) with |a| = p among degree n
-    start = []
-    for n in range(len(A) + len(B) - 1):
-        offsets, k = {}, 0
-        for p in range(max(0, n - len(B) + 1), min(n, len(A) - 1) + 1):
-            offsets[p] = k
-            k += len(A[p]) * len(B[n - p])
-        start.append(offsets)
+    # start[n][p]: index of the first cell (a, b) with |a| = p among degree n,
+    # for the degrees p and n - p where A and B both have cells
+    start: list[dict[int, int]] = [{} for _ in range(len(A) + len(B) - 1)]
+    ends = [0] * len(start)
+    qs = [q for q, cells in enumerate(B) if cells]
+    for p in (p for p, cells in enumerate(A) if cells):
+        for q in qs:
+            start[p + q][p] = ends[p + q]
+            ends[p + q] += len(A[p]) * len(B[q])
     out = []
     for n, offsets in enumerate(start):
         cols = []
@@ -426,7 +431,30 @@ def tensor(A: list[Columns], B: list[Columns], stage: str = "smash") -> list[Col
 
 def reduced_product(A: list[Columns], B: list[Columns]) -> list[Columns]:
     """Reduced chains of a product: A (x) B + A + B."""
-    return direct_sum(direct_sum(tensor(A, B, "product"), A), B)
+    return direct_sum(tensor(A, B, "product"), A, B)
+
+
+def james_chains(C: list[Columns], n: int, quotient: bool = False) -> list[Columns]:
+    """Reduced chains of J(K,n) from C, those of K, by the James splitting:
+    C + C(x)C + ... + C^(x)n; with quotient those of Q(K,n), C^(x)n. The
+    cells and degree lists of the n powers are counted before any is built,
+    and refused past SMASH_POWER_CAP after at most that many powers."""
+    if n < 1:
+        raise DomainError("truncation level must be >= 1")
+    cells = sum(map(len, C))
+    if not cells:
+        return []
+    stage = "james quotient" if quotient else "james truncation"
+    size = 0
+    for k in range(1, n + 1):
+        size += cells**k + k * (len(C) - 1) + 1
+        if size > SMASH_POWER_CAP:
+            raise CapExceeded(f"{stage}: {size} chain cells and degrees in {k} powers, "
+                              f"over the cap of {SMASH_POWER_CAP}")
+    powers = [C]
+    for _ in range(n - 1):
+        powers.append(tensor(powers[-1], C, stage))
+    return powers[-1] if quotient else direct_sum(*powers)
 
 
 def euler_characteristic(K: SSet) -> int:

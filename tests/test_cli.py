@@ -81,14 +81,13 @@ class TestSpaceGrammar:
             assert code == 2
             assert err.startswith("parse error:")
 
-    def test_quotient_past_the_truncation_cap_is_domain_error(self, capsys):
-        code, out, _ = run_cli(["homology", "--space", "Q(S2,3)"], capsys)
-        assert code == 0
-        assert out == "{6: Z}\n"
-        code, out, err = run_cli(["homology", "--space", "Q(S3,3)"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == "error: truncation exceeds 2000 generators\n"
+    def test_james_past_the_truncation_cap_answers(self, capsys):
+        # J and Q come from tensor powers of chains, so the 2,000-generator
+        # truncation cap no longer bounds them
+        assert run_cli(["homology", "--space", "Q(S2,3)"], capsys) == (0, "{6: Z}\n", "")
+        assert run_cli(["homology", "--space", "Q(S3,3)"], capsys) == (0, "{9: Z}\n", "")
+        assert run_cli(["homology", "--space", "J(S1,6)"], capsys) == (
+            0, "{1: Z, 2: Z, 3: Z, 4: Z, 5: Z, 6: Z}\n", "")
 
     def test_level_zero_is_domain_error(self, capsys):
         code, _, err = run_cli(["james", "--space", "S1", "-n", "0"], capsys)
@@ -608,6 +607,12 @@ GOLDEN_ERRORS = [
     (['james', '--space', 'S0', '-n', '3000'], 1, 'error: truncation exceeds 2000 generators\n'),
     (['hopf', '--word', '|'.join(['x'] * 60), '--dim', '0', '-r', '30'], 1,
      'error: hopf word: 118264581564861424 subsequences, over the cap of 25000\n'),
+    # the tensor powers of J and Q, counted up to the first past the cap
+    (['homology', '--space', 'J(S1,100000000)'], 1,
+     'error: james truncation: 25197 chain cells and degrees in 222 powers, over the cap of 25000\n'),
+    (['homology', '--space', 'Q(S0,100000000)'], 1,
+     'error: james quotient: 25002 chain cells and degrees in 12501 powers, over the cap of 25000\n'),
+    (['homology', '--space', 'Q(S1,0)'], 1, 'error: truncation level must be >= 1\n'),
 ]
 
 
@@ -674,6 +679,11 @@ BOUNDED_INPUTS = [
     (["homology", "--space", "S4xS4xS4"], "{4: Z^3, 8: Z^3, 12: Z}\n"),
     (["homology", "--space", f"{_CIRCLES_200}^{_CIRCLES_200}"], None),
     (["homology", "--space", "J(pt,100000000)"], "{}\n"),
+    (["homology", "--space", "Q(pt,100000000)"], "{}\n"),
+    (["homology", "--space", "J(S1,100000000)"], None),
+    (["homology", "--space", "Q(S1,100000000)"], None),
+    (["homology", "--space", "J(S0,100000000)"], None),
+    (["homology", "--space", "Q(S0,100000000)"], None),
     (["james", "--space", "pt", "-n", "100000000"], "{0: 1}\n"),
     (["james", "--space", "S1", "-n", "100000000"], None),
     (["gw", "--expr", "<1e100000000>", "--field", "q"], None),

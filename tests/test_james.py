@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ehpcalc import cli, james
 from ehpcalc.errors import CapExceeded, DomainError
-from ehpcalc.homology import HomologyGroup, reduced_homology
+from ehpcalc.homology import HomologyGroup, chain_homology, james_chains, reduced_chains, reduced_homology
 from ehpcalc.james import (
     JamesWord,
     TRUNCATION_CAP,
@@ -46,6 +46,7 @@ from ehpcalc.simplicial import (
 )
 
 from oracles import assert_generator_isomorphism, increasing_tuples, james_cell_count
+from test_homology import MOORE
 
 S0, S1, S2 = build_sphere(0), build_sphere(1), build_sphere(2)
 W = wedge(S1, S1)
@@ -411,6 +412,36 @@ class TestQuotient:
     def test_sphere_level_two_homology(self):
         Q, _ = james_quotient(S2, 2)
         assert reduced_homology(Q) == {4: HomologyGroup(1)}
+
+
+# Spaces for the James splitting; MOORE brings Z/2 torsion through.
+SPLITTING_SPACES = {"S0": S0, "S1": S1, "S2": S2, "S0+S1": wedge(S0, S1), "S1+S1": W,
+                    "S1xS1": product(S1, S1), "M": MOORE}
+
+
+def _levels_under_the_cap(K, top=6):
+    """The levels up to top whose truncation is under the cap. Only S0 has
+    more: its truncations stay under the cap to level 1999, where the build
+    alone takes seconds."""
+    for n in range(1, top + 1):
+        try:
+            james_census(K, n)
+        except CapExceeded:
+            return
+        yield n
+
+
+SPLITTING_CASES = [(name, n) for name, K in SPLITTING_SPACES.items() for n in _levels_under_the_cap(K)]
+
+
+@pytest.mark.parametrize("name, n", SPLITTING_CASES, ids=[f"{name}-{n}" for name, n in SPLITTING_CASES])
+def test_james_splitting_matches_the_built_truncation_and_quotient(name, n):
+    """H(J_n K) = H(C + ... + C^(x)n) and H(Q(K,n)) = H(C^(x)n) for C the
+    reduced chains of K (James 1955, Eilenberg-Zilber)."""
+    K = SPLITTING_SPACES[name]
+    C = reduced_chains(K)
+    assert chain_homology(james_chains(C, n)) == reduced_homology(james_truncation(K, n))
+    assert chain_homology(james_chains(C, n, quotient=True)) == reduced_homology(james_quotient(K, n)[0])
 
 
 class TestCartan:
