@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, partial
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
@@ -14,8 +14,11 @@ from .simplicial import (
     SSet,
     Simplex,
     _setattr,
+    _cells,
+    _check_size,
     _simplex,
     _smash_class,
+    _tuple_complex,
     collapse,
     degenerate,
     dimension_census,
@@ -25,7 +28,6 @@ from .simplicial import (
     nondegenerate_tuples,
     shared_degeneracies,
     simplex_token,
-    smash,
 )
 
 TRUNCATION_CAP = 2000
@@ -41,22 +43,38 @@ def _check_factors(r: int) -> None:
         raise CapExceeded(f"smash power: {r} factors exceed the cap of {SMASH_FACTOR_CAP}")
 
 
+@lru_cache(maxsize=None)
 def smash_power(K: SSet, r: int) -> SSet:
-    """Left-associated smash power; smash counts and caches each step."""
+    """Left-associated smash power, assembled in one pass from the jointly
+    nondegenerate r-tuples of non-basepoint simplices of K, named as
+    smash_power_class names them; each power up to r is counted first."""
     _check_factors(r)
-    return reduce(smash, [K] * r)
+    if r == 1:
+        return K
+    census = dimension_census(K, basepoint=False)
+    for k in range(2, r + 1):  # the first power over the cap refuses, as a fold of smash would
+        _check_size("smash", 1 + sum(nondegenerate_count([census], m, power=k) for m in range(k * K.max_dim + 1)))
+    return _tuple_complex("*", (K,), _cells((K,), False, r), partial(_power_class, K.basepoint, known={}))[0]
+
+
+def _power_class(basepoint: str, xs, known: dict) -> Simplex:
+    """Left-nested smash classes, the first over the basepoint and the later
+    ones over "*". Each step is kept in known by the identities of its two
+    operands and held with them, so prefixes that tuples share are named once."""
+    out, a = xs[0], basepoint
+    for x in xs[1:]:
+        if (id(out), id(x)) not in known:
+            known[id(out), id(x)] = _smash_class(a, basepoint, out, x), out, x
+        out, a = known[id(out), id(x)][0], "*"
+    return out
 
 
 def smash_power_class(K: SSet, r: int, xs: tuple[Simplex, ...]) -> Simplex:
-    """Class of x_1 ^ ... ^ x_r inside smash_power(K, r), named without it:
-    the first smash is over K's basepoint, the later ones over "*"."""
+    """Class of x_1 ^ ... ^ x_r inside smash_power(K, r), named without it."""
     _check_factors(r)
     if len(xs) != r or any(x.dim != xs[0].dim for x in xs):
         raise DomainError("need exactly r simplices of one dimension")
-    out, a = xs[0], K.basepoint
-    for x in xs[1:]:
-        out, a = _smash_class(a, K.basepoint, out, x), "*"
-    return out
+    return _power_class(K.basepoint, xs, {})
 
 
 @dataclass(frozen=True)
@@ -126,17 +144,15 @@ def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     return word, _word(w.complex, w.dim - len(word), cores)
 
 
-def _word_simplex(w: JamesWord) -> Simplex:
-    word, core = word_normal_form(w)
-    return _simplex(word_token(core), word, w.dim)
-
-
-def _word_complex(cells: dict[str, JamesWord], face_of) -> SSet:
-    """The pointed complex on the nondegenerate cells given by name, with
-    basepoint the empty word "*" and face i of a cell face_of(cell, i);
-    SSet.build refuses faces on unnamed cells and checks every identity."""
-    faces = {name: tuple(face_of(w, i) for i in range(w.dim + 1)) for name, w in cells.items() if w.dim}
-    return SSet.build("*", {"*": 0} | {name: w.dim for name, w in cells.items()}, faces)
+def _word_simplex(w: JamesWord, tokens: dict[int, str] | None = None) -> Simplex:
+    """The class of w, named by its core's tokens, read from tokens (keyed by
+    the identities of letters the caller holds) when all are there."""
+    word, cores = joint_normal_form(w.letters, w.dim)
+    try:  # words can be long, so they are read in map
+        name = "|".join(map((tokens or {}).__getitem__, map(id, cores)))
+    except KeyError:
+        name = "|".join(map(simplex_token, cores))
+    return _simplex(f"[{name}]" if cores else "*", word, w.dim)
 
 
 def james_census(K: SSet, n: int) -> dict[int, int]:
@@ -168,14 +184,12 @@ def james_census(K: SSet, n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
-    words = {}
-    for m in james_census(K, n):
-        letters = [x for x in K.simplices(m) if x.generator != K.basepoint]
-        for ell in range(1, n + 1) if letters else ():
-            for combo in nondegenerate_tuples([letters] * ell, m):
-                w = _word(K, m, combo)
-                words[word_token(w)] = w
-    return _word_complex(words, lambda w, i: _word_simplex(word_face(w, i))), words
+    letters = {m: [x for x in K.simplices(m) if x.generator != K.basepoint] for m in james_census(K, n)}
+    cells = (xs for m, ys in letters.items() if ys for ell in range(1, n + 1)
+             for xs in nondegenerate_tuples([ys], m, power=ell))
+    tokens = {id(x): simplex_token(x) for ys in letters.values() for x in ys}  # once per letter, held in letters
+    J, words = _tuple_complex("*", (K,), cells, lambda xs: _word_simplex(_word(K, xs[0].dim, xs), tokens))
+    return J, {name: _word(K, xs[0].dim, xs) for name, xs in words}
 
 
 def james_truncation(K: SSet, n: int) -> SSet:
@@ -250,7 +264,6 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
             _subsequence_count(length, r)
     J, words = _james_data(K, n)
     named = cache(lambda xs: simplex_token(smash_power_class(K, r, xs)))
-    faces = cache(lambda x: [face(K, x, i) for i in range(x.dim + 1)])  # x recurs in many cells
 
     def hopf_simplex(dim: int, letters) -> tuple[Simplex, JamesWord]:
         # letters hold r components per class; a class with a basepoint
@@ -264,8 +277,8 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     images, cells = {}, {}
     for name, w in words.items():
         images[name], core = hopf_simplex(w.dim, [x for xs in _subsequences(w, r) for x in xs])
-        cells[images[name].generator] = core  # the empty word is the basepoint cell
-    T = _word_complex(cells, lambda core, i: hopf_simplex(core.dim - 1, [faces(x)[i] for x in core.letters])[0])
+        cells[images[name].generator] = core.letters  # the empty word is the basepoint cell
+    T, _ = _tuple_complex("*", (K,), [xs for xs in cells.values() if xs], lambda xs: hopf_simplex(xs[0].dim, xs)[0])
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 
@@ -285,6 +298,8 @@ def james_quotient(K: SSet, n: int) -> tuple[SSet, dict[str, str]]:
     """Collapse of words shorter than n, with its isomorphism [x1|...|xn] ->
     x1^...^xn onto the n-fold smash power as a generator witness: the map is
     checked simplicial and a bijection onto nondegenerate generators."""
+    james_census(K, n)  # the level and truncation caps come first,
+    _check_factors(n)  # and the factor cap before any word is built
     J, words = _james_data(K, n)
     Q = collapse(J, {name for name, w in words.items() if len(w) < n})
     P = smash_power(K, n)

@@ -273,7 +273,8 @@ def shared_degeneracies(xs: tuple[Simplex, ...], dim: int) -> set[int]:
     """Indices i with every x in the image of s_i; all of range(dim) if xs is empty."""
     if not xs:
         return set(range(dim))
-    return set(xs[0].word).intersection(*(x.word for x in xs[1:]))
+    first = set(xs[0].word)
+    return first.intersection(*map(operator.attrgetter("word"), xs[1:])) if first else first
 
 
 def joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[tuple[int, ...], tuple[Simplex, ...]]:
@@ -322,16 +323,17 @@ def nondegenerate_count(censuses, m: int, power: int = 1) -> int:
     return total
 
 
-def nondegenerate_tuples(choices, m: int):
+def nondegenerate_tuples(choices, m: int, power: int = 1):
     """The jointly nondegenerate tuples of m-simplices, one from each list of
-    choices, in itertools.product order: with words as bit masks, an entry
-    of the last list completes a prefix when it has none of its shared bits."""
-    lists = {id(xs): xs for xs in choices}  # a list repeated in choices is masked once
-    masked = {key: [(x, sum(1 << i for i in x.word)) for x in xs] for key, xs in lists.items()}
-    *heads, last = [masked[id(xs)] for xs in choices]
+    choices, the list of choices repeated power times, in itertools.product
+    order: with words as bit masks, an entry of the last list completes a
+    prefix when it has none of its shared bits. Tuples can be long, so each
+    list is masked once and each prefix is read in map."""
+    *heads, last = [tuple((x, sum(1 << i for i in x.word)) for x in xs) for xs in choices] * power
+    first, second = operator.itemgetter(0), operator.itemgetter(1)
     for prefix in itertools.product(*heads):
-        shared = functools.reduce(operator.and_, (bits for _, bits in prefix), (1 << m) - 1)
-        xs = tuple(x for x, _ in prefix)
+        shared = functools.reduce(operator.and_, map(second, prefix), (1 << m) - 1)
+        xs = tuple(map(first, prefix))
         yield from (xs + (x,) for x, bits in last if not shared & bits)
 
 
@@ -381,24 +383,34 @@ def _check_size(stage: str, size: int) -> None:
         raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
 
 
-def _pair_complex(A: SSet, B: SSet, basepoint: str, class_of, basepoints: bool) -> tuple[SSet, PairTable]:
-    """The jointly nondegenerate pairs (x, y) of A x B, over basepoint
-    generators too if basepoints, each named class_of(x, y).generator,
-    with faces class_of(d_i x, d_i y)."""
+def _tuple_complex(basepoint: str, factors, cells, class_of) -> tuple[SSet, tuple[tuple[str, tuple], ...]]:
+    """The complex on the given cells, tuples of m-simplices with entry j in
+    factors[j % len(factors)], and its (name, cell) pairs, sorted. A cell is
+    named class_of(cell).generator, its face i is the class of its entries'
+    faces i, and SSet.build checks every identity."""
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
-    pairs: dict[str, tuple[Simplex, Simplex]] = {}
-    # a simplex may meet many partners, so its faces are taken once, when first needed
-    fa, fb = (functools.cache(lambda x, K=K: [face(K, x, i) for i in range(x.dim + 1)]) for K in (A, B))
-    for n in range(A.max_dim + B.max_dim + 1):
-        choices = [[x for x in K.simplices(n) if basepoints or x.generator != K.basepoint] for K in (A, B)]
-        for sa, sb in nondegenerate_tuples(choices, n):
-            name = class_of(sa, sb).generator
-            dims[name] = n
-            pairs[name] = (sa, sb)
-            if n:
-                faces[name] = tuple(map(class_of, fa(sa), fb(sb)))
-    return SSet.build(basepoint, dims, faces), tuple(sorted(pairs.items()))
+    table: dict[str, tuple] = {}
+    # an entry recurs in many cells, so its faces are taken once, when first
+    # needed; equal faces are made one object, so class_of may key on identities
+    one: dict[Simplex, Simplex] = {}
+    faces_of = [functools.cache(lambda x, K=K: [one.setdefault(f, f) for f in (face(K, x, i) for i in range(x.dim + 1))])
+                for K in factors]
+    for cell in cells:
+        name, dim = class_of(cell).generator, cell[0].dim
+        dims[name], table[name] = dim, cell
+        if dim:
+            entries = (faces_of[j % len(factors)](x) for j, x in enumerate(cell))
+            faces[name] = tuple(map(class_of, zip(*entries)))
+    return SSet.build(basepoint, dims, faces), tuple(sorted(table.items()))
+
+
+def _cells(factors, basepoints: bool, power: int = 1):
+    """The jointly nondegenerate tuples of simplices of the factors, repeated
+    power times, over basepoint generators too if basepoints."""
+    for m in range(power * sum(K.max_dim for K in factors) + 1):
+        choices = [[x for x in K.simplices(m) if basepoints or x.generator != K.basepoint] for K in factors]
+        yield from nondegenerate_tuples(choices, m, power)
 
 
 @functools.lru_cache(maxsize=None)
@@ -406,11 +418,11 @@ def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
     _check_size("product", _pair_total(A, B, basepoints=True))
 
-    def class_of(x: Simplex, y: Simplex) -> Simplex:
-        word, (cx, cy) = joint_normal_form((x, y), x.dim)
-        return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, x.dim)
+    def class_of(xy: tuple[Simplex, Simplex]) -> Simplex:
+        word, (cx, cy) = joint_normal_form(xy, xy[0].dim)
+        return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, xy[0].dim)
 
-    return _pair_complex(A, B, f"({A.basepoint},{B.basepoint})", class_of, basepoints=True)
+    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), _cells((A, B), True), class_of)
 
 
 def product(A: SSet, B: SSet) -> SSet:
@@ -472,7 +484,7 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core lands on the basepoint "*".
     """
     _check_size("smash", smash_size(A, B))
-    return _pair_complex(A, B, "*", functools.partial(_smash_class, A.basepoint, B.basepoint), basepoints=False)
+    return _tuple_complex("*", (A, B), _cells((A, B), False), lambda xy: _smash_class(A.basepoint, B.basepoint, *xy))
 
 
 def smash(A: SSet, B: SSet) -> SSet:

@@ -292,7 +292,7 @@ class TestChainsOfParts:
         def unreachable(*args):
             raise AssertionError("a product or smash was built")
 
-        monkeypatch.setattr(simplicial, "_pair_complex", unreachable)
+        monkeypatch.setattr(simplicial, "_tuple_complex", unreachable)
         # fresh caches, so that no product built earlier is handed back
         for name in ("product_with_pairs", "smash_with_pairs"):
             monkeypatch.setattr(simplicial, name, functools.lru_cache(getattr(simplicial, name).__wrapped__))

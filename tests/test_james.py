@@ -1,7 +1,9 @@
 """Word complexes, the one-letter inclusion, subsequence invariants, quotients."""
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from ehpcalc import cli, james
 from ehpcalc.errors import CapExceeded, DomainError
 from ehpcalc.homology import HomologyGroup, chain_homology, james_chains, reduced_chains, reduced_homology
 from ehpcalc.james import (
+    SMASH_FACTOR_CAP,
     JamesWord,
     TRUNCATION_CAP,
     cartan_word_check,
@@ -40,8 +43,10 @@ from ehpcalc.simplicial import (
     fold_map,
     point,
     product,
+    smash,
     smash_map,
     smash_with_pairs,
+    sset_dumps,
     wedge,
 )
 
@@ -321,7 +326,7 @@ class TestHopfMap:
     def test_target_built_without_smash_power(self):
         # constant maps answer although W^6 is over the smash cap, and the
         # subsequence and factor caps still refuse
-        built = smash_with_pairs.cache_info().currsize
+        built = smash_with_pairs.cache_info().currsize, smash_power.cache_info().currsize
         for K, n, r in [(W, 2, 6), (S2, 2, 4)]:
             H = james_hopf_map(K, n, r)
             assert H.target.n_generators == 1
@@ -330,7 +335,7 @@ class TestHopfMap:
             james_hopf_map(S0, 30, 15)
         with pytest.raises(CapExceeded, match="smash power: 1000000000 factors exceed the cap of 1000"):
             james_hopf_map(S1, 2, 10**9)
-        assert smash_with_pairs.cache_info().currsize == built
+        assert (smash_with_pairs.cache_info().currsize, smash_power.cache_info().currsize) == built
 
     def test_subsequence_cap_refused_before_any_word_is_built(self, monkeypatch):
         # the first word past the cap is the shortest one, known from n and r;
@@ -377,9 +382,9 @@ class TestSmashPowerBudget:
 
     def test_classes_are_named_without_building(self):
         a, b = W.simplex("l.e1"), W.simplex("r.e1")
-        built = smash_with_pairs.cache_info().currsize
+        built = smash_with_pairs.cache_info().currsize, smash_power.cache_info().currsize
         x = smash_power_class(W, 6, (a, b) * 3)
-        assert smash_with_pairs.cache_info().currsize == built
+        assert (smash_with_pairs.cache_info().currsize, smash_power.cache_info().currsize) == built
         assert x == Simplex("(((((l.e1^r.e1)^l.e1)^r.e1)^l.e1)^r.e1)", (), 1)
         with pytest.raises(CapExceeded):
             smash_power(W, 6)
@@ -392,9 +397,22 @@ class TestSmashPowerBudget:
             assert {x.generator for x in classes} == set(smash_power(K, r).generators())
 
     def test_factor_cap(self):
-        assert smash_power(S0, 400).n_generators == 2
+        assert smash_power(S0, SMASH_FACTOR_CAP).n_generators == 2
         with pytest.raises(CapExceeded, match="smash power: 3000 factors exceed the cap of 1000"):
             smash_power(W, 3000)
+
+    def test_one_pass_matches_the_fold_of_smash(self):
+        # the left fold of smash is the reference, kept only here: every
+        # power under the cap dumps the same, and every refusal reads the same
+        for K in (S0, S1, S2, W, product(S1, S1), MOORE):
+            for r in range(1, 5):
+                try:
+                    want = sset_dumps(functools.reduce(smash, [K] * r))
+                except CapExceeded as exc:
+                    with pytest.raises(CapExceeded, match=f"^{re.escape(str(exc))}$"):
+                        smash_power(K, r)
+                    continue
+                assert sset_dumps(smash_power(K, r)) == want
 
 
 class TestQuotient:
@@ -412,6 +430,16 @@ class TestQuotient:
     def test_sphere_level_two_homology(self):
         Q, _ = james_quotient(S2, 2)
         assert reduced_homology(Q) == {4: HomologyGroup(1)}
+
+    def test_factor_cap_refused_before_any_word_is_built(self, monkeypatch):
+        def unreachable(K, n):
+            raise AssertionError("a quotient past the factor cap built its truncation")
+
+        monkeypatch.setattr(james, "_james_data", unreachable)
+        with pytest.raises(CapExceeded, match="^smash power: 1999 factors exceed the cap of 1000$"):
+            james_quotient(S0, 1999)
+        with pytest.raises(DomainError, match="^truncation level must be >= 1$"):
+            james_quotient(S0, 0)
 
 
 # Spaces for the James splitting; MOORE brings Z/2 torsion through.

@@ -300,6 +300,7 @@ class TestNondegenerateTuples:
         full = itertools.product(*choices)
         assert tuples == [xs for xs in full if not set.intersection(*(set(x.word) for x in xs))]
         assert nondegenerate_count(censuses, m, power=2) == nondegenerate_count(censuses * 2, m)
+        assert list(nondegenerate_tuples(choices[:1], m, power=3)) == list(nondegenerate_tuples(choices[:1] * 3, m))
 
 
 class TestNormalFormsAgainstReference:
