@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (
@@ -13,9 +14,9 @@ from .simplicial import (
     SMap,
     SSet,
     Simplex,
-    _setattr,
     _cells,
     _check_size,
+    _pair_census,
     _simplex,
     _smash_class,
     _tuple_complex,
@@ -34,6 +35,8 @@ TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
 # their names grow with the number of factors.
 SMASH_FACTOR_CAP = 1000
+_setattr = object.__setattr__
+_generator = attrgetter("generator")
 
 
 def _check_factors(r: int) -> None:
@@ -47,14 +50,18 @@ def _check_factors(r: int) -> None:
 def smash_power(K: SSet, r: int) -> SSet:
     """Left-associated smash power, assembled in one pass from the jointly
     nondegenerate r-tuples of non-basepoint simplices of K, named as
-    smash_power_class names them; each power up to r is counted first."""
+    smash_power_class names them; each power up to r is counted first, its
+    census convolved from the one before."""
     _check_factors(r)
     if r == 1:
         return K
-    census = dimension_census(K, basepoint=False)
-    for k in range(2, r + 1):  # the first power over the cap refuses, as a fold of smash would
-        _check_size("smash", 1 + sum(nondegenerate_count([census], m, power=k) for m in range(k * K.max_dim + 1)))
-    return _tuple_complex("*", (K,), _cells((K,), False, r), partial(_power_class, K.basepoint, known={}))[0]
+    census = power = dimension_census(K, basepoint=False)
+    for _ in range(2, r + 1):  # the first power over the cap refuses, as a fold of smash would
+        power = _pair_census(power, census)
+        _check_size("smash", 1 + sum(power.values()))
+    name = partial(_power_class, K.basepoint, known={})
+    named = ((name(xs).generator, xs) for xs in _cells((K,), False, r))
+    return _tuple_complex("*", (K,), named, lambda xs: () if K.basepoint in map(_generator, xs) else xs)[0]
 
 
 def _power_class(basepoint: str, xs, known: dict) -> Simplex:
@@ -144,15 +151,10 @@ def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     return word, _word(w.complex, w.dim - len(word), cores)
 
 
-def _word_simplex(w: JamesWord, tokens: dict[int, str] | None = None) -> Simplex:
-    """The class of w, named by its core's tokens, read from tokens (keyed by
-    the identities of letters the caller holds) when all are there."""
+def _word_simplex(w: JamesWord) -> Simplex:
+    """The class of w, named by its core's tokens."""
     word, cores = joint_normal_form(w.letters, w.dim)
-    try:  # words can be long, so they are read in map
-        name = "|".join(map((tokens or {}).__getitem__, map(id, cores)))
-    except KeyError:
-        name = "|".join(map(simplex_token, cores))
-    return _simplex(f"[{name}]" if cores else "*", word, w.dim)
+    return _simplex(f"[{'|'.join(map(simplex_token, cores))}]" if cores else "*", word, w.dim)
 
 
 def james_census(K: SSet, n: int) -> dict[int, int]:
@@ -188,7 +190,8 @@ def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
     cells = (xs for m, ys in letters.items() if ys for ell in range(1, n + 1)
              for xs in nondegenerate_tuples([ys], m, power=ell))
     tokens = {id(x): simplex_token(x) for ys in letters.values() for x in ys}  # once per letter, held in letters
-    J, words = _tuple_complex("*", (K,), cells, lambda xs: _word_simplex(_word(K, xs[0].dim, xs), tokens))
+    named = ((f"[{'|'.join(map(tokens.__getitem__, map(id, xs)))}]", xs) for xs in cells)  # words can be long
+    J, words = _tuple_complex("*", (K,), named, lambda xs: tuple(x for x in xs if x.generator != K.basepoint))
     return J, {name: _word(K, xs[0].dim, xs) for name, xs in words}
 
 
@@ -265,20 +268,19 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     J, words = _james_data(K, n)
     named = cache(lambda xs: simplex_token(smash_power_class(K, r, xs)))
 
-    def hopf_simplex(dim: int, letters) -> tuple[Simplex, JamesWord]:
-        # letters hold r components per class; a class with a basepoint
-        # component is "*", and the others commute with their shared degeneracies
+    def kept(letters) -> tuple[Simplex, ...]:
+        # letters hold r components per class; a class with a basepoint component is "*"
         groups = (letters[k:k + r] for k in range(0, len(letters), r))
-        kept = [x for xs in groups if all(x.generator != K.basepoint for x in xs) for x in xs]
-        word, core = word_normal_form(_word(K, dim, kept))
-        token = "|".join(named(core.letters[k:k + r]) for k in range(0, len(core), r))
-        return _simplex(f"[{token}]" if token else "*", word, dim), core
+        return tuple(x for xs in groups if K.basepoint not in map(_generator, xs) for x in xs)
 
     images, cells = {}, {}
     for name, w in words.items():
-        images[name], core = hopf_simplex(w.dim, [x for xs in _subsequences(w, r) for x in xs])
-        cells[images[name].generator] = core.letters  # the empty word is the basepoint cell
-    T, _ = _tuple_complex("*", (K,), [xs for xs in cells.values() if xs], lambda xs: hopf_simplex(xs[0].dim, xs)[0])
+        # the kept classes commute with their shared degeneracies
+        word, core = joint_normal_form(kept([x for xs in _subsequences(w, r) for x in xs]), w.dim)
+        token = "|".join(named(core[k:k + r]) for k in range(0, len(core), r))
+        images[name] = _simplex(f"[{token}]" if token else "*", word, w.dim)
+        cells[images[name].generator] = core  # the empty word is the basepoint cell
+    T, _ = _tuple_complex("*", (K,), ((g, xs) for g, xs in cells.items() if xs), kept)
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 

@@ -22,6 +22,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError, ExprParseError
 
@@ -56,40 +57,38 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in word[:k]) + (i,) + word[k:]
 
 
-@dataclass(frozen=True, slots=True)
-class Simplex:
-    """A simplex of some complex: generator name plus degeneracy word.
+class _SimplexFields(NamedTuple):
+    generator: str
+    word: tuple[int, ...]
+    dim: int
+
+
+class Simplex(_SimplexFields):
+    """A simplex of some complex: the tuple (generator, word, dim), so it
+    hashes and compares as that tuple does.
 
     dim equals the generator's dimension plus the word length; the word is
     strictly decreasing (normal form), so nondegenerate iff word == ().
     """
 
-    generator: str
-    word: tuple[int, ...]
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.word, self.word[1:]):
+    def __new__(cls, generator: str, word: tuple[int, ...], dim: int) -> "Simplex":
+        for a, b in zip(word, word[1:]):
             if a <= b:
-                raise DomainError(f"degeneracy word {self.word} is not strictly decreasing")
-        if self.word and self.word[0] >= self.dim:
-            raise DomainError(f"degeneracy index {self.word[0]} out of range for dim {self.dim}")
+                raise DomainError(f"degeneracy word {word} is not strictly decreasing")
+        if word and word[0] >= dim:
+            raise DomainError(f"degeneracy index {word[0]} out of range for dim {dim}")
+        return tuple.__new__(cls, (generator, word, dim))
 
     @property
     def is_degenerate(self) -> bool:
         return bool(self.word)
 
 
-_setattr = object.__setattr__
-
-
 def _simplex(generator: str, word: tuple[int, ...], dim: int) -> Simplex:
     """A Simplex whose word is normal by construction, built without the check."""
-    x = object.__new__(Simplex)
-    _setattr(x, "generator", generator)
-    _setattr(x, "word", word)
-    _setattr(x, "dim", dim)
-    return x
+    return tuple.__new__(Simplex, (generator, word, dim))
 
 
 _NAME_RE = re.compile(r"^\S+$")
@@ -370,12 +369,22 @@ def build_sphere(n: int) -> SSet:
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
 
 
+def _pair_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
+    """Jointly nondegenerate pairs per dimension, from the censuses of the
+    two factors: a p-cell and a q-cell give C(m, p) C(p, m - q) m-cells, the
+    m - p degeneracies of the first entry placed anywhere and the m - q of
+    the second among the p places left."""
+    out: Counter = Counter()
+    for p, a in ca.items():
+        for q, b in cb.items():
+            for m in range(max(p, q), p + q + 1):
+                out[m] += a * b * math.comb(m, p) * math.comb(p, m - q)
+    return out
+
+
 def _pair_total(A: SSet, B: SSet, basepoints: bool) -> int:
-    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not:
-    a p-cell and a q-cell give the Delannoy number sum_k C(p,k) C(q,k) 2^k."""
-    ca, cb = dimension_census(A, basepoints), dimension_census(B, basepoints)
-    return sum(a * b * sum(math.comb(p, k) * math.comb(q, k) << k for k in range(min(p, q) + 1))
-               for p, a in ca.items() for q, b in cb.items())
+    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not."""
+    return sum(_pair_census(dimension_census(A, basepoints), dimension_census(B, basepoints)).values())
 
 
 def _check_size(stage: str, size: int) -> None:
@@ -383,26 +392,36 @@ def _check_size(stage: str, size: int) -> None:
         raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
 
 
-def _tuple_complex(basepoint: str, factors, cells, class_of) -> tuple[SSet, tuple[tuple[str, tuple], ...]]:
-    """The complex on the given cells, tuples of m-simplices with entry j in
-    factors[j % len(factors)], and its (name, cell) pairs, sorted. A cell is
-    named class_of(cell).generator, its face i is the class of its entries'
-    faces i, and SSet.build checks every identity."""
+def _tuple_complex(basepoint: str, factors, named, reduce) -> tuple[SSet, tuple[tuple[str, tuple], ...]]:
+    """The complex on the given (name, cell) pairs, each cell a tuple of
+    m-simplices with entry j in factors[j % len(factors)], and those pairs,
+    sorted. Each cell is named once. Face i of a cell takes its entries'
+    faces i, lets reduce drop what the construction collapses, and is the
+    name of their joint core under the shared word, or the basepoint when
+    nothing is left; SSet.build checks every identity."""
+    names = {cell: name for name, cell in named}
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
-    table: dict[str, tuple] = {}
-    # an entry recurs in many cells, so its faces are taken once, when first
-    # needed; equal faces are made one object, so class_of may key on identities
-    one: dict[Simplex, Simplex] = {}
-    faces_of = [functools.cache(lambda x, K=K: [one.setdefault(f, f) for f in (face(K, x, i) for i in range(x.dim + 1))])
-                for K in factors]
-    for cell in cells:
-        name, dim = class_of(cell).generator, cell[0].dim
-        dims[name], table[name] = dim, cell
+    # an entry recurs in many cells, so its faces are taken once, when first needed
+    faces_of = [functools.cache(lambda x, K=K: [face(K, x, i) for i in range(x.dim + 1)]) for K in factors]
+
+    @functools.cache  # equal faces are one object in the complex
+    def face_class(xs: tuple[Simplex, ...]) -> Simplex:
+        dim = xs[0].dim
+        word, core = joint_normal_form(reduce(xs), dim)
+        if not core:
+            return _simplex(basepoint, word, dim)
+        try:
+            return _simplex(names[core], word, dim)
+        except KeyError:
+            raise DomainError(f"face core {tuple(map(simplex_token, core))} is not a cell") from None
+
+    for cell, name in names.items():
+        dims[name] = dim = cell[0].dim
         if dim:
             entries = (faces_of[j % len(factors)](x) for j, x in enumerate(cell))
-            faces[name] = tuple(map(class_of, zip(*entries)))
-    return SSet.build(basepoint, dims, faces), tuple(sorted(table.items()))
+            faces[name] = tuple(map(face_class, zip(*entries)))
+    return SSet.build(basepoint, dims, faces), tuple(sorted((name, cell) for cell, name in names.items()))
 
 
 def _cells(factors, basepoints: bool, power: int = 1):
@@ -417,12 +436,8 @@ def _cells(factors, basepoints: bool, power: int = 1):
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
     _check_size("product", _pair_total(A, B, basepoints=True))
-
-    def class_of(xy: tuple[Simplex, Simplex]) -> Simplex:
-        word, (cx, cy) = joint_normal_form(xy, xy[0].dim)
-        return _simplex(f"({simplex_token(cx)},{simplex_token(cy)})", word, xy[0].dim)
-
-    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), _cells((A, B), True), class_of)
+    named = ((f"({simplex_token(x)},{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), True))
+    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), named, tuple)
 
 
 def product(A: SSet, B: SSet) -> SSet:
@@ -484,7 +499,9 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core lands on the basepoint "*".
     """
     _check_size("smash", smash_size(A, B))
-    return _tuple_complex("*", (A, B), _cells((A, B), False), lambda xy: _smash_class(A.basepoint, B.basepoint, *xy))
+    named = ((f"({simplex_token(x)}^{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), False))
+    return _tuple_complex("*", (A, B), named,
+                          lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
 
 
 def smash(A: SSet, B: SSet) -> SSet:

@@ -360,6 +360,28 @@ def assert_generator_isomorphism(A, B, witness):
                 assert (witness[fa.generator], fa.word) == (fb.generator, fb.word)
 
 
+def assert_faces_follow_class_rule(K, cells, factors, rule):
+    """K is assembled from cells, (name, cell) pairs whose cell is a tuple of
+    simplices with entry j in factors[j % len(factors)]: rule names each
+    cell by its name, face i of each cell is rule applied to its entries'
+    faces i (each taken by reference_face), and the cells are the generators
+    of K, the basepoint aside."""
+    assert {name for name, _ in cells} | {K.basepoint} == set(K.generators())
+    for name, cell in cells:
+        dim = cell[0].dim
+        assert rule(cell) == (name, (), dim)
+        for i in range(dim + 1 if dim else 0):
+            faces = tuple(reference_face(factors[j % len(factors)], x, i) for j, x in enumerate(cell))
+            assert K.faces_of(name)[i] == rule(faces), (name, i)
+
+
+def reference_cells(K, r: int, dim: int):
+    """The r-tuples of dim-simplices of K over no basepoint that share no
+    degeneracy, from the full cartesian power."""
+    xs = [x for x in K.simplices(dim) if x.generator != K.basepoint]
+    return [t for t in itertools.product(xs, repeat=r) if not set.intersection(*(set(x.word) for x in t))]
+
+
 # -- the expanded-tuple form store that ehpcalc.gw replaced by counts per
 # square class. A form is a pair (pos, neg) of tuples of canonical class
 # representatives, one entry per copy: 1 over Qbar, +-1 over R, 1 or "g"

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ehpcalc import cli, james
+from ehpcalc import cli, james, simplicial
 from ehpcalc.errors import CapExceeded, DomainError
 from ehpcalc.homology import HomologyGroup, chain_homology, james_chains, reduced_chains, reduced_homology
 from ehpcalc.james import (
@@ -39,10 +39,13 @@ from ehpcalc.simplicial import (
     build_sphere,
     compose,
     degenerate,
+    dimension_census,
     face as simplicial_face,
     fold_map,
+    nondegenerate_count,
     point,
     product,
+    simplex_token,
     smash,
     smash_map,
     smash_with_pairs,
@@ -50,7 +53,14 @@ from ehpcalc.simplicial import (
     wedge,
 )
 
-from oracles import assert_generator_isomorphism, increasing_tuples, james_cell_count
+from oracles import (
+    assert_faces_follow_class_rule,
+    assert_generator_isomorphism,
+    increasing_tuples,
+    james_cell_count,
+    reference_cells,
+    reference_joint_normal_form,
+)
 from test_homology import MOORE
 
 S0, S1, S2 = build_sphere(0), build_sphere(1), build_sphere(2)
@@ -413,6 +423,88 @@ class TestSmashPowerBudget:
                         smash_power(K, r)
                     continue
                 assert sset_dumps(smash_power(K, r)) == want
+
+
+class TestPowerCensus:
+    def test_census_convolution_is_the_nondegenerate_count(self):
+        # each power's census {dim: cells} is the one before convolved with K's
+        def convolved(K, r):
+            census = power = dimension_census(K, basepoint=False)
+            for _ in range(2, r + 1):
+                power = simplicial._pair_census(power, census)
+            return power
+
+        cases = [(K, r) for K in (S0, S1, S2, build_sphere(3), W, product(S1, S1), wedge(S0, S2), MOORE)
+                 for r in range(2, 5)] + [(build_sphere(256), 2)]
+        for K, r in cases:
+            census = dimension_census(K, basepoint=False)
+            counts = {m: nondegenerate_count([census], m, power=r) for m in range(r * K.max_dim + 1)}
+            assert convolved(K, r) == {m: c for m, c in counts.items() if c}, (K.gens, r)
+
+    def test_power_refused_from_censuses_alone(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a smash power is counted from censuses")
+
+        monkeypatch.setattr(james, "nondegenerate_count", fail)
+        monkeypatch.setattr(simplicial, "nondegenerate_count", fail)
+        text = ("smash: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060"
+                "131481474087365900788603897239792170063380018210065845972813057494514295615534095492070043"
+                "781303829612478857218 generators, over the cap of 25000")
+        with pytest.raises(CapExceeded, match=f"^{text}$"):
+            smash_power(build_sphere(256), 2)
+
+
+def _word_class(K, xs):
+    word, core = word_normal_form(JamesWord(K, xs[0].dim, xs))
+    return Simplex(word_token(core), word, xs[0].dim)
+
+
+def _hopf_core(K, dim, xs):
+    """Shared word and core of the r = 2 classes of xs, pairs of simplices,
+    the pairs with a basepoint component dropped."""
+    kept = tuple(x for k in range(0, len(xs), 2) if K.basepoint not in (xs[k].generator, xs[k + 1].generator)
+                 for x in xs[k:k + 2])
+    return reference_joint_normal_form((K,) * len(kept), kept, dim)
+
+
+def _hopf_class(K, xs):
+    word, core = _hopf_core(K, xs[0].dim, xs)
+    token = "|".join(simplex_token(smash_power_class(K, 2, core[k:k + 2])) for k in range(0, len(core), 2))
+    return Simplex(f"[{token}]" if token else "*", word, xs[0].dim)
+
+
+class TestFacesNamedByClassRule:
+    """Face i of each cell is the class rule applied to its entries' faces i."""
+
+    def test_smash_powers(self):
+        # S2^4 (23,918 cells) is left out for time; its faces are checked
+        # against the fold of smash in TestSmashPowerBudget
+        for K, top in ((S0, 4), (S1, 4), (S2, 3), (W, 4), (MOORE, 3)):
+            for r in range(2, top + 1):
+                cells = [(smash_power_class(K, r, xs).generator, xs)
+                         for m in range(r * K.max_dim + 1) for xs in reference_cells(K, r, m)]
+                assert_faces_follow_class_rule(smash_power(K, r), cells, (K,),
+                                               functools.partial(smash_power_class, K, r))
+
+    def test_truncations(self):
+        for K in (S0, S1, S2, W, MOORE):
+            for n in range(1, 5):
+                try:
+                    words = james_words(K, n)
+                except CapExceeded:
+                    continue
+                cells = [(name, w.letters) for name, w in words.items()]
+                assert_faces_follow_class_rule(james_truncation(K, n), cells, (K,),
+                                               functools.partial(_word_class, K))
+
+    def test_hopf_targets(self):
+        for K in (S0, S1, S2, W, MOORE):
+            for n in range(1, 4):
+                H = james_hopf_map(K, n, 2)
+                cores = (_hopf_core(K, w.dim, tuple(x for xy in itertools.combinations(w.letters, 2) for x in xy))
+                         for w in james_words(K, n).values())
+                cells = {_hopf_class(K, core).generator: core for _, core in cores if core}
+                assert_faces_follow_class_rule(H.target, list(cells.items()), (K,), functools.partial(_hopf_class, K))
 
 
 class TestQuotient:

@@ -34,6 +34,7 @@ from ehpcalc.simplicial import (
     point,
     product,
     product_with_pairs,
+    simplex_token,
     sset_dumps,
     sset_loads,
     smash,
@@ -45,12 +46,14 @@ from ehpcalc.simplicial import (
 )
 
 from oracles import (
+    assert_faces_follow_class_rule,
     assert_generator_isomorphism,
     reference_face,
     reference_in_degeneracy_image,
     reference_joint_normal_form,
     shuffle_count,
 )
+from test_homology import MOORE
 
 S0, S1, S2 = build_sphere(0), build_sphere(1), build_sphere(2)
 TEST_COMPLEXES = [point(), S0, S1, S2, wedge(S1, S1), smash(S1, S1), product(S1, S1)]
@@ -408,6 +411,47 @@ class TestSerialization:
         faces = {"c": tuple(Simplex("*", tuple(range(11, -1, -1)), 12) for _ in range(14))}
         K = SSet.build("*", dims, faces)
         assert sset_loads(sset_dumps(K)) == K
+
+
+class TestSimplex:
+    def test_a_simplex_is_the_tuple_of_its_fields(self):
+        x = Simplex("e1", (0,), 2)
+        assert repr(x) == "Simplex(generator='e1', word=(0,), dim=2)"
+        assert (x.generator, x.word, x.dim) == tuple(x) == ("e1", (0,), 2)
+        assert x.is_degenerate and not Simplex("e1", (), 1).is_degenerate
+
+    def test_equal_fields_hash_equal(self):
+        x, y = Simplex("e1", (0,), 2), simplicial._simplex("e1", (0,), 2)
+        assert x == y and hash(x) == hash(y) == hash(("e1", (0,), 2))
+        assert type(y) is Simplex and {x: 1}[y] == 1
+        assert Simplex("e1", (1,), 2) != x and Simplex("e1", (0,), 3) != x
+
+    def test_bad_words_refused(self):
+        with pytest.raises(DomainError, match="not strictly decreasing"):
+            Simplex("e1", (0, 1), 3)
+        with pytest.raises(DomainError, match="out of range for dim 2"):
+            Simplex("e1", (5,), 2)
+
+
+def _pair_token(A, B, xy):
+    word, (x, y) = reference_joint_normal_form((A, B), xy, xy[0].dim)
+    return Simplex(f"({simplex_token(x)},{simplex_token(y)})", word, xy[0].dim)
+
+
+class TestFacesNamedByClassRule:
+    def test_products_and_smashes(self):
+        # face i of each cell of a product or smash is its class rule on the
+        # entries' faces i; the product's basepoint is a cell as well
+        for A, B in itertools.product((S0, S1, S2, wedge(S1, S1), MOORE), repeat=2):
+            P, pairs = product_with_pairs(A, B)
+            assert_faces_follow_class_rule(P, pairs, (A, B), lambda xy: _pair_token(A, B, xy))
+            Q, pairs = smash_with_pairs(A, B)
+            assert_faces_follow_class_rule(Q, pairs, (A, B), lambda xy: smash_class(A, B, *xy))
+
+    def test_cells_not_closed_under_faces_refused(self):
+        e = S1.simplex("e1")
+        with pytest.raises(DomainError, match=r"face core \('\*', '\*'\) is not a cell"):
+            simplicial._tuple_complex("(*,*)", (S1, S1), [("(e1,e1)", (e, e))], tuple)
 
 
 class TestValidation:
