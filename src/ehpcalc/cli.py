@@ -65,6 +65,7 @@ from .kmw import (
     sheaf_token,
 )
 from .simplicial import (
+    SPHERE_DIM_CAP,
     Simplex,
     SSet,
     build_sphere,
@@ -290,6 +291,8 @@ def parse_word(text: str, dim=None) -> JamesWord:
         d = word_dim - len(ops)
         if d < 0:
             raise DomainError(f"letter {name!r} has too many degeneracies for dimension {word_dim}")
+        if d > SPHERE_DIM_CAP:  # validating a letter costs about d^3
+            raise CapExceeded(f"word: letter dimension {d} exceeds the cap of {SPHERE_DIM_CAP}")
         if base_dims.setdefault(name, d) != d:
             raise DomainError(f"letter {name!r} is used at inconsistent dimensions")
     K = _free_letters_complex(base_dims)

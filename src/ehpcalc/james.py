@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
@@ -59,20 +59,21 @@ def smash_power(K: SSet, r: int) -> SSet:
     for _ in range(2, r + 1):  # the first power over the cap refuses, as a fold of smash would
         power = _pair_census(power, census)
         _check_size("smash", 1 + sum(power.values()))
-    name = partial(_power_class, K.basepoint, known={})
-    named = ((name(xs).generator, xs) for xs in _cells((K,), False, r))
+    power_class = partial(_power_class, K.basepoint, known={})
+    named = ((power_class(xs).generator, xs) for xs in _cells((K,), False, r))
     return _tuple_complex("*", (K,), named, lambda xs: () if K.basepoint in map(_generator, xs) else xs)[0]
 
 
 def _power_class(basepoint: str, xs, known: dict) -> Simplex:
     """Left-nested smash classes, the first over the basepoint and the later
-    ones over "*". Each step is kept in known by the identities of its two
-    operands and held with them, so prefixes that tuples share are named once."""
+    ones over "*". known keeps each step under all three of its arguments (K
+    may have a vertex named "*"), so prefixes shared within a call are named once."""
     out, a = xs[0], basepoint
     for x in xs[1:]:
-        if (id(out), id(x)) not in known:
-            known[id(out), id(x)] = _smash_class(a, basepoint, out, x), out, x
-        out, a = known[id(out), id(x)][0], "*"
+        key = a, out, x
+        if key not in known:
+            known[key] = _smash_class(a, basepoint, out, x)
+        out, a = known[key], "*"
     return out
 
 
@@ -151,12 +152,6 @@ def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     return word, _word(w.complex, w.dim - len(word), cores)
 
 
-def _word_simplex(w: JamesWord) -> Simplex:
-    """The class of w, named by its core's tokens."""
-    word, cores = joint_normal_form(w.letters, w.dim)
-    return _simplex(f"[{'|'.join(map(simplex_token, cores))}]" if cores else "*", word, w.dim)
-
-
 def james_census(K: SSet, n: int) -> dict[int, int]:
     """Generators of the level-n truncation per dimension, basepoint
     included, counted from the census of K without building it;
@@ -189,8 +184,8 @@ def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
     letters = {m: [x for x in K.simplices(m) if x.generator != K.basepoint] for m in james_census(K, n)}
     cells = (xs for m, ys in letters.items() if ys for ell in range(1, n + 1)
              for xs in nondegenerate_tuples([ys], m, power=ell))
-    tokens = {id(x): simplex_token(x) for ys in letters.values() for x in ys}  # once per letter, held in letters
-    named = ((f"[{'|'.join(map(tokens.__getitem__, map(id, xs)))}]", xs) for xs in cells)  # words can be long
+    tokens = {x: simplex_token(x) for ys in letters.values() for x in ys}  # once per letter
+    named = ((f"[{'|'.join(map(tokens.__getitem__, xs))}]", xs) for xs in cells)  # words can be long
     J, words = _tuple_complex("*", (K,), named, lambda xs: tuple(x for x in xs if x.generator != K.basepoint))
     return J, {name: _word(K, xs[0].dim, xs) for name, xs in words}
 
@@ -220,11 +215,13 @@ def _subsequence_count(length: int, r: int) -> int:
 
 
 def _subsequences(w: JamesWord, r: int):
-    """The r-fold subsequences of w's letters, lexicographic, under the cap."""
+    """The r-fold subsequences of w's letters, lexicographic, under the caps."""
     if r < 1:
         raise DomainError("subsequence length must be >= 1")
-    count = _subsequence_count(len(w.letters), r)
-    return itertools.combinations(w.letters, r) if count else ()  # it allocates r indices first
+    if not _subsequence_count(len(w.letters), r):
+        return ()  # combinations would allocate r indices first
+    _check_factors(r)
+    return itertools.combinations(w.letters, r)
 
 
 def james_hopf_letters(w: JamesWord, r: int) -> tuple[Simplex, ...]:
@@ -236,7 +233,7 @@ def james_hopf_letters(w: JamesWord, r: int) -> tuple[Simplex, ...]:
     >>> "".join(simplex_token(x) for x in james_hopf_letters(parse_word("x|y|z"), 2))
     '(x^y)(x^z)(y^z)'
     """
-    classes = (smash_power_class(w.complex, r, xs) for xs in _subsequences(w, r))
+    classes = map(partial(_power_class, w.complex.basepoint, known={}), _subsequences(w, r))
     return tuple(x for x in classes if r == 1 or x.generator != "*")
 
 
@@ -266,7 +263,7 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
         for length in range(r, n + 1):
             _subsequence_count(length, r)
     J, words = _james_data(K, n)
-    named = cache(lambda xs: simplex_token(smash_power_class(K, r, xs)))
+    power_class = partial(_power_class, K.basepoint, known={})
 
     def kept(letters) -> tuple[Simplex, ...]:
         # letters hold r components per class; a class with a basepoint component is "*"
@@ -277,7 +274,7 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     for name, w in words.items():
         # the kept classes commute with their shared degeneracies
         word, core = joint_normal_form(kept([x for xs in _subsequences(w, r) for x in xs]), w.dim)
-        token = "|".join(named(core[k:k + r]) for k in range(0, len(core), r))
+        token = "|".join(simplex_token(power_class(core[k:k + r])) for k in range(0, len(core), r))
         images[name] = _simplex(f"[{token}]" if token else "*", word, w.dim)
         cells[images[name].generator] = core  # the empty word is the basepoint cell
     T, _ = _tuple_complex("*", (K,), ((g, xs) for g, xs in cells.items() if xs), kept)
@@ -291,8 +288,8 @@ def james_map(f: SMap, n: int) -> SMap:
     Jt, _ = _james_data(f.target, n)
     images = {"*": Jt.basepoint_simplex(0)}
     for name, w in words.items():
-        fw = JamesWord(f.target, w.dim, tuple(f(x) for x in w.letters))
-        images[name] = _word_simplex(fw)
+        word, core = word_normal_form(JamesWord(f.target, w.dim, tuple(f(x) for x in w.letters)))
+        images[name] = _simplex(word_token(core), word, w.dim)
     return SMap.build(Js, Jt, images)
 
 
@@ -305,7 +302,8 @@ def james_quotient(K: SSet, n: int) -> tuple[SSet, dict[str, str]]:
     J, words = _james_data(K, n)
     Q = collapse(J, {name for name, w in words.items() if len(w) < n})
     P = smash_power(K, n)
-    images = {name: smash_power_class(K, n, w.letters) for name, w in words.items() if len(w) == n}
+    power_class = partial(_power_class, K.basepoint, known={})
+    images = {name: power_class(w.letters) for name, w in words.items() if len(w) == n}
     images[Q.basepoint] = P.basepoint_simplex(0)
     SMap.build(Q, P, images)
     witness = {name: x.generator for name, x in images.items()}
@@ -319,5 +317,5 @@ def cartan_word_check(K: SSet, letters) -> bool:
     words, both reduced; letters may include the basepoint."""
     letters = tuple(letters)
     lhs = james_hopf_letters(JamesWord(K, letters[0].dim if letters else 0, letters), 2)
-    pairs = (smash_power_class(K, 2, xy) for xy in itertools.combinations(letters, 2))
+    pairs = map(partial(_power_class, K.basepoint, known={}), itertools.combinations(letters, 2))
     return lhs == tuple(x for x in pairs if x.generator != "*")

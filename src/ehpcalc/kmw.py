@@ -13,7 +13,7 @@ rewrite tables for contraction and the tensor pairing.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NoTensorRule, NormalFormUnavailable
+from .errors import CapExceeded, DomainError, NoTensorRule, NormalFormUnavailable
 from .gw import (
     Field,
     GWElement,
@@ -29,6 +29,10 @@ from .gw import (
     gw_zero,
     witt_class,
 )
+
+# Most terms a product of two symbols may expand to before they merge: each
+# <a> is 1 + eta [a], so a product of k forms with distinct entries has 2^k.
+PRODUCT_TERMS_CAP = 25_000
 
 # ------------------------------------------------------------------ symbols
 
@@ -151,6 +155,9 @@ def kmw_mul(x: KMWSymbol, y: KMWSymbol) -> KMWSymbol:
     """Product; eta is central, so all eta powers collect in front while
     bracket letters concatenate in order."""
     _same_field(x, y)
+    count = len(x.terms) * len(y.terms)
+    if count > PRODUCT_TERMS_CAP:
+        raise CapExceeded(f"symbol product: {count} terms, over the cap of {PRODUCT_TERMS_CAP}")
     items = []
     for cx, (sx, lx) in x.terms:
         for cy, (sy, ly) in y.terms:

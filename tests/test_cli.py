@@ -524,6 +524,7 @@ def _circles(k):
 
 
 _CIRCLES_200 = _circles(200)
+_FORTY_FORMS = "*".join(f"<{a}>" for a in range(2, 42))
 
 # (argv, exit code, full stderr) for malformed input to each grammar, as
 # recorded before the grammars shared their front end.
@@ -613,6 +614,10 @@ GOLDEN_ERRORS = [
     (['homology', '--space', 'Q(S0,100000000)'], 1,
      'error: james quotient: 25002 chain cells and degrees in 12501 powers, over the cap of 25000\n'),
     (['homology', '--space', 'Q(S1,0)'], 1, 'error: truncation level must be >= 1\n'),
+    # letters are refused by dimension before their complex is validated
+    (['hopf', '--word', 'x', '-r', '1', '--dim', '100000'], 1, 'error: word: letter dimension 100000 exceeds the cap of 256\n'),
+    # a product of k forms with distinct entries expands to 2^k terms
+    (['kmw', '--expr', _FORTY_FORMS, '--field', 'q'], 1, 'error: symbol product: 32768 terms, over the cap of 25000\n'),
 ]
 
 
@@ -687,6 +692,8 @@ BOUNDED_INPUTS = [
     (["james", "--space", "pt", "-n", "100000000"], "{0: 1}\n"),
     (["james", "--space", "S1", "-n", "100000000"], None),
     (["gw", "--expr", "<1e100000000>", "--field", "q"], None),
+    (["hopf", "--word", "x", "-r", "1", "--dim", "100000"], None),
+    (["kmw", "--expr", _FORTY_FORMS, "--field", "q"], None),
 ]
 
 

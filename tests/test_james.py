@@ -35,6 +35,7 @@ from ehpcalc.james import (
     word_token,
 )
 from ehpcalc.simplicial import (
+    SSet,
     Simplex,
     build_sphere,
     compose,
@@ -254,6 +255,23 @@ class TestHopfWord:
                 for k, t in enumerate(increasing_tuples(q, r)):
                     assert hw.letters[k] == smash_power_class(W, r, tuple(xs[i] for i in t))
 
+    def test_refusals_past_the_factor_cap_and_the_word_length(self):
+        w = cli.parse_word("|".join(["x"] * (SMASH_FACTOR_CAP + 1)), dim=0)
+        with pytest.raises(CapExceeded, match="^smash power: 1001 factors exceed the cap of 1000$"):
+            james_hopf_letters(w, SMASH_FACTOR_CAP + 1)
+        assert james_hopf_letters(w, SMASH_FACTOR_CAP + 2) == ()
+        assert james_hopf_letters(JamesWord(S1, 1, (S1.simplex("e1"),) * 3), 4) == ()
+
+    def test_shared_prefixes_named_once_per_word(self, monkeypatch):
+        # one class step per distinct (prefix, next letter), not r - 1 per subsequence
+        calls = []
+        smash_class = james._smash_class
+        monkeypatch.setattr(james, "_smash_class", lambda *args: calls.append(args) or smash_class(*args))
+        w = cli.parse_word("x|y|x|y|x|y")
+        subsequences = list(itertools.combinations(w.letters, 3))
+        assert len(james_hopf_letters(w, 3)) == len(subsequences) == 20
+        assert len(calls) == len({xs[:2] for xs in subsequences}) + len(set(subsequences)) == 4 + 8
+
     def test_r_one_is_the_word_itself(self):
         w = JamesWord(S1, 1, (S1.simplex("e1"), S1.simplex("e1")))
         assert james_hopf_word(w, 1) == w
@@ -318,7 +336,8 @@ class TestHopfMap:
             for g, c in cores.items():
                 assert T.dim_of(g) == c.dim
                 if c.dim > 0:
-                    assert T.faces_of(g) == tuple(james._word_simplex(word_face(c, i)) for i in range(c.dim + 1))
+                    faces = map(word_normal_form, (word_face(c, i) for i in range(c.dim + 1)))
+                    assert T.faces_of(g) == tuple(Simplex(word_token(core), word, c.dim - 1) for word, core in faces)
             try:
                 full = james_truncation(smash_power(K, r), comb(n, r))
             except CapExceeded:
@@ -405,6 +424,22 @@ class TestSmashPowerBudget:
         for r in range(1, 4):
             classes = {smash_power_class(K, r, xs) for xs in itertools.product(K.simplices(0), repeat=r)}
             assert {x.generator for x in classes} == set(smash_power(K, r).generators())
+
+    def test_a_vertex_named_star_is_not_the_collapsed_class(self):
+        # K has basepoint "b" and a vertex named "*": its first smash is not
+        # collapsed, but "*" after a basepoint factor is the collapsed class
+        K = SSet.build("b", {"b": 0, "*": 0, "y": 0}, {})
+        s, y, b = K.simplex("*"), K.simplex("y"), K.simplex("b")
+        assert smash_power_class(K, 2, (s, y)) == Simplex("(*^y)", (), 0)
+        assert smash_power_class(K, 4, (s, y, b, y)) == Simplex("*", (), 0)
+        shared = functools.partial(james._power_class, "b", known={})
+        for r in range(1, 5):
+            for xs in itertools.product((s, y, b), repeat=r):
+                assert shared(xs) == smash_power_class(K, r, xs)
+            w = JamesWord(K, 0, (s, y, b, y, s, b))
+            want = [smash_power_class(K, r, xs) for xs in itertools.combinations((s, y, y, s), r)]
+            assert james_hopf_letters(w, r) == james_hopf_word(w, r).letters == tuple(want)
+            assert {x.generator for x in want} <= set(smash_power(K, r).generators())
 
     def test_factor_cap(self):
         assert smash_power(S0, SMASH_FACTOR_CAP).n_generators == 2
@@ -522,6 +557,16 @@ class TestQuotient:
     def test_sphere_level_two_homology(self):
         Q, _ = james_quotient(S2, 2)
         assert reduced_homology(Q) == {4: HomologyGroup(1)}
+
+    def test_shared_prefixes_named_once_per_call(self, monkeypatch):
+        # the length-3 words of J_3(S1) share their 2-letter prefixes
+        words = [w.letters for w in james_words(S1, 3).values() if len(w) == 3]
+        smash_power(S1, 3)
+        calls = []
+        smash_class = james._smash_class
+        monkeypatch.setattr(james, "_smash_class", lambda *args: calls.append(args) or smash_class(*args))
+        james_quotient(S1, 3)
+        assert len(calls) == len({xs[:2] for xs in words}) + len(words) < 2 * len(words)
 
     def test_factor_cap_refused_before_any_word_is_built(self, monkeypatch):
         def unreachable(K, n):

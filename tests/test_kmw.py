@@ -1,6 +1,9 @@
 """Symbol calculus: construction, relations, normal forms, sheaf tables."""
 
+import functools
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +112,19 @@ class TestSymbols:
     def test_eta_is_central(self):
         b = kmw_bracket(F5, 3)
         assert kmw_mul(b, kmw_eta(F5)) == kmw_mul(kmw_eta(F5), b)
+
+    def test_products_under_the_term_cap_answer_as_before(self):
+        # k forms with distinct entries: the sum over subsets S of eta^|S|
+        # and the brackets of S, 2^k terms
+        entries = range(2, 15)
+        x = functools.reduce(kmw_mul, (kmw_form(QQ, a) for a in entries))
+        subsets = (S for k in range(len(entries) + 1) for S in itertools.combinations(entries, k))
+        assert x.terms == tuple(sorted((1, (len(S), tuple(map(Fraction, S)))) for S in subsets))
+        # one repeated form merges to k + 1 terms, with binomial coefficients
+        y = kmw_power(kmw_form(QQ, 2), 40)
+        assert y.terms == tuple((comb(40, j), (j, (Fraction(2),) * j)) for j in range(41))
+        with pytest.raises(CapExceeded, match="^symbol product: 32768 terms, over the cap of 25000$"):
+            kmw_mul(x, kmw_mul(kmw_form(QQ, 15), kmw_form(QQ, 16)))
 
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
