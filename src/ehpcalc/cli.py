@@ -10,16 +10,16 @@ expression grammars share their front end: _scan splits a string into
 tokens, _Cursor walks them, _fold reads a chain of one left-associative
 operator, _signed_sum reads terms joined by + and -, and _int and
 _fraction are the one readers of integers and rational numbers. Space
-expressions fold into an _Algebra: built complexes for parse_space, and
-reduced chains for homology, which builds only the spheres and the point
-and takes J(K,n) and Q(K,n) from tensor powers of K's chains.
+expressions fold into an _Algebra: built complexes for parse_space,
+reduced chains for homology and censuses {dim: generators} for james, so
+neither homology nor james builds a complex, not even Sn or pt.
 """
 
 import argparse
 import json
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -47,9 +47,8 @@ from .gw import (
     rationals,
     real_closed,
 )
-from .homology import (chain_homology, direct_sum, homology_to_doc, james_chains, reduced_chains,
-                       reduced_product, tensor)
-from .james import JamesWord, james_census, james_hopf_letters, james_quotient, james_truncation
+from .homology import chain_homology, direct_sum, homology_to_doc, james_chains, reduced_product, tensor
+from .james import JamesWord, james_hopf_letters, james_quotient, james_truncation, truncation_census
 from .kmw import (
     SheafExpr,
     aone_tensor,
@@ -64,18 +63,8 @@ from .kmw import (
     kmw_scalar,
     sheaf_token,
 )
-from .simplicial import (
-    SPHERE_DIM_CAP,
-    Simplex,
-    SSet,
-    build_sphere,
-    degenerate,
-    point,
-    product,
-    simplex_token,
-    smash,
-    wedge,
-)
+from .simplicial import (SPHERE_DIM_CAP, Simplex, SSet, build_sphere, check_sphere_dim, degenerate, point, product,
+                         product_census, simplex_token, smash, smash_census, wedge)
 
 
 def parse_field(text: str):
@@ -195,17 +184,20 @@ def _fraction(body: str, what: str) -> Fraction:
 _SPACE_RE = re.compile(r"S\d+|pt|J|Q|\d+|[+^x(),]")
 
 
-# What a space expression folds into: lift(K) of each atom K built, the
-# combines of +, x and ^, and james and quotient for J(K,n) and Q(K,n).
-_Algebra = namedtuple("_Algebra", "lift wedge product smash james quotient")
+# What a space expression folds into: sphere(n) and point() for Sn and pt,
+# the combines of +, x and ^, and james and quotient for J(K,n) and Q(K,n).
+_Algebra = namedtuple("_Algebra", "sphere point wedge product smash james quotient")
 # built complexes, for parse_space; the James builders are looked up at each
 # call, so that a profiler's wrapper on this module sees them
-_BUILD = _Algebra(lambda K: K, wedge, product, smash, lambda K, n: james_truncation(K, n),
+_BUILD = _Algebra(build_sphere, point, wedge, product, smash, lambda K, n: james_truncation(K, n),
                   lambda K, n: james_quotient(K, n)[0])
 # reduced chains (Eilenberg-Zilber and the James splitting), for homology:
-# only the atoms Sn and pt are built
-_CHAINS = _Algebra(reduced_chains, direct_sum, reduced_product, tensor, james_chains,
-                   partial(james_chains, quotient=True))
+# Sn has one cell, in degree n, with zero boundary, and pt has none
+_CHAINS = _Algebra(lambda n: [[] for _ in range(n)] + [[{}]], lambda: [[]], direct_sum, reduced_product,
+                   tensor, james_chains, partial(james_chains, quotient=True))
+# censuses with the basepoint, for james: a wedge shares one basepoint
+_CENSUS = _Algebra(lambda n: Counter([0, n]), lambda: Counter([0]), lambda a, b: a + b - Counter([0]),
+                   product_census, smash_census, truncation_census, partial(truncation_census, quotient=True))
 
 
 def parse_space(text: str) -> SSet:
@@ -233,9 +225,11 @@ def _space_atom(cur, alg: _Algebra):
         cur.take(")")
         return x
     if tok == "pt":
-        return alg.lift(point())
+        return alg.point()
     if tok[0] == "S" and tok[1:].isdigit():
-        return alg.lift(build_sphere(_int(tok[1:], "sphere dimension")))
+        n = _int(tok[1:], "sphere dimension")
+        check_sphere_dim(n)
+        return alg.sphere(n)
     if tok in ("J", "Q"):
         cur.take("(")
         K = cur.nested(_space_sum, alg)
@@ -433,7 +427,7 @@ def cmd_homology(args) -> str:
 
 
 def cmd_james(args) -> str:
-    counts = james_census(parse_space(args.space), args.level)
+    counts = truncation_census(_eval_space(args.space, _CENSUS), args.level)
     text = "{" + ", ".join(f"{d}: {c}" for d, c in sorted(counts.items())) + "}"
     doc = {
         "space": args.space,

@@ -4,32 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
-from .simplicial import (
-    SMASH_POWER_CAP,
-    SMap,
-    SSet,
-    Simplex,
-    _cells,
-    _check_size,
-    _pair_census,
-    _simplex,
-    _smash_class,
-    _tuple_complex,
-    collapse,
-    degenerate,
-    dimension_census,
-    face,
-    joint_normal_form,
-    nondegenerate_count,
-    nondegenerate_tuples,
-    shared_degeneracies,
-    simplex_token,
-)
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _cells, _simplex, _smash_class,
+                         _tuple_complex, collapse, degenerate, dimension_census, face, joint_normal_form,
+                         nondegenerate_tuples, pair_census, shared_degeneracies, simplex_token, smash_census)
 
 TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
@@ -50,15 +33,14 @@ def _check_factors(r: int) -> None:
 def smash_power(K: SSet, r: int) -> SSet:
     """Left-associated smash power, assembled in one pass from the jointly
     nondegenerate r-tuples of non-basepoint simplices of K, named as
-    smash_power_class names them; each power up to r is counted first, its
-    census convolved from the one before."""
+    smash_power_class names them; each power up to r is counted first, the
+    one before smashed with K, and the first over the cap refuses, as a fold
+    of smash would."""
     _check_factors(r)
+    census = dimension_census(K, basepoint=True)
+    reduce(lambda power, _: smash_census(power, census), range(r - 1), census)
     if r == 1:
         return K
-    census = power = dimension_census(K, basepoint=False)
-    for _ in range(2, r + 1):  # the first power over the cap refuses, as a fold of smash would
-        power = _pair_census(power, census)
-        _check_size("smash", 1 + sum(power.values()))
     power_class = partial(_power_class, K.basepoint, known={})
     named = ((power_class(xs).generator, xs) for xs in _cells((K,), False, r))
     return _tuple_complex("*", (K,), named, lambda xs: () if K.basepoint in map(_generator, xs) else xs)[0]
@@ -152,31 +134,42 @@ def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
     return word, _word(w.complex, w.dim - len(word), cores)
 
 
+def truncation_census(census: dict[int, int], n: int, quotient: bool = False) -> Counter:
+    """Generators of J(K,n) per dimension from the census of K, basepoint
+    included: the basepoint and the cells of each K^l, l <= n, but its
+    basepoint, K's cells paired with those of K^(l-1). CapExceeded past
+    TRUNCATION_CAP, before the power that passes it is split by dimension.
+    With quotient, those of Q(K,n) = K^n, after the truncation and factor caps."""
+    if n < 1:
+        raise DomainError("truncation level must be >= 1")
+
+    def check(size: int) -> None:  # the words counted so far and the next power's
+        if sum(out.values()) + size > TRUNCATION_CAP:
+            raise CapExceeded(f"truncation exceeds {TRUNCATION_CAP} generators")
+
+    cells = Counter(census) - _BASEPOINT
+    out = power = _BASEPOINT  # the empty word
+    for _ in range(n):
+        power = pair_census(power, cells, check)
+        if not power:
+            break
+        out = out + power
+    if quotient:
+        _check_factors(n)
+        return _BASEPOINT + power
+    return out
+
+
 def james_census(K: SSet, n: int) -> dict[int, int]:
     """Generators of the level-n truncation per dimension, basepoint
-    included, counted from the census of K without building it;
-    CapExceeded past TRUNCATION_CAP. The cores of l letters, of dimension at
-    most top, cover the m degeneracy indices exactly when l * top >= m, so
-    every term visited is positive and at most the cap are visited.
+    included: truncation_census of K's census, so nothing is built;
+    CapExceeded past TRUNCATION_CAP.
 
     >>> from ehpcalc.simplicial import build_sphere
     >>> james_census(build_sphere(1), 2)
     {0: 1, 1: 2, 2: 2}
     """
-    if n < 1:
-        raise DomainError("truncation level must be >= 1")
-    census = dimension_census(K, basepoint=False)
-    out, total = {0: 1}, 1
-    for m in range(n * K.max_dim + 1):
-        top = max((p for p in census if p <= m), default=-1)
-        if top < 0 or top == 0 < m:
-            continue  # no m-simplices, or only degenerate vertices
-        for ell in range(-(-m // top) if top else 1, n + 1):
-            count = nondegenerate_count([census], m, power=ell)
-            out[m], total = out.get(m, 0) + count, total + count
-            if total > TRUNCATION_CAP:
-                raise CapExceeded(f"truncation exceeds {TRUNCATION_CAP} generators")
-    return out
+    return dict(sorted(truncation_census(dimension_census(K, basepoint=True), n).items()))
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +290,7 @@ def james_quotient(K: SSet, n: int) -> tuple[SSet, dict[str, str]]:
     """Collapse of words shorter than n, with its isomorphism [x1|...|xn] ->
     x1^...^xn onto the n-fold smash power as a generator witness: the map is
     checked simplicial and a bijection onto nondegenerate generators."""
-    james_census(K, n)  # the level and truncation caps come first,
-    _check_factors(n)  # and the factor cap before any word is built
+    truncation_census(dimension_census(K, basepoint=True), n, quotient=True)  # every cap before any word is built
     J, words = _james_data(K, n)
     Q = collapse(J, {name for name, w in words.items() if len(w) < n})
     P = smash_power(K, n)

@@ -152,12 +152,15 @@ class SSet:
                     raise DomainError(f"face {i} of {name!r} references unknown generator {f.generator!r}")
                 if f.dim != d - 1 or self.dim_of(f.generator) + len(f.word) != f.dim:
                     raise DomainError(f"face {i} of {name!r} has inconsistent dimension")
-        # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators;
-        # ff[j][i] = d_i d_j x, computed once per distinct face simplex
+        # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators,
+        # which depends only on the faces: checked once per distinct face
+        # tuple; ff[j][i] = d_i d_j x, computed once per distinct face simplex
         faces_of: dict[Simplex, list[Simplex]] = {}
+        checked: set[tuple[Simplex, ...]] = set()
         for name, d in self.gens:
-            if d < 2:
+            if d < 2 or self._faces[name] in checked:
                 continue
+            checked.add(self._faces[name])
             ff = []
             for f in self._faces[name]:
                 if f not in faces_of:
@@ -300,28 +303,6 @@ def dimension_census(K: SSet, basepoint: bool) -> dict[int, int]:
     return Counter(d for name, d in K.gens if basepoint or name != K.basepoint)
 
 
-def nondegenerate_count(censuses, m: int, power: int = 1) -> int:
-    """Jointly nondegenerate m-tuples, one m-simplex from each factor given
-    by its census {dim: generators}, the factor list repeated power times.
-    A p-dimensional generator has C(m - k, p) m-simplices in the image of k
-    given degeneracies, so inclusion-exclusion over the k shared ones gives
-    sum_k (-1)^k C(m, k) prod_i sum_p c_i(p) C(m - k, p), whose product
-    only shrinks as k grows. S1 x S1 has 1 + 3 + 2 generators:
-
-    >>> circle = dimension_census(build_sphere(1), basepoint=True)
-    >>> [nondegenerate_count([circle, circle], m) for m in range(3)]
-    [1, 3, 2]
-    """
-    total, binom = 0, 1  # binom = C(m, k)
-    for k in range(m + 1):
-        size = math.prod(sum(c * math.comb(m - k, p) for p, c in census.items()) for census in censuses)
-        if not size:
-            break
-        total += (-1) ** k * binom * size ** power
-        binom = binom * (m - k) // (k + 1)
-    return total
-
-
 def nondegenerate_tuples(choices, m: int, power: int = 1):
     """The jointly nondegenerate tuples of m-simplices, one from each list of
     choices, the list of choices repeated power times, in itertools.product
@@ -345,6 +326,14 @@ def simplex_token(x: Simplex) -> str:
 # -- constructors -------------------------------------------------------
 
 
+def check_sphere_dim(n: int) -> None:
+    """Refuse a sphere dimension that is negative or past SPHERE_DIM_CAP."""
+    if n < 0:
+        raise DomainError(f"sphere dimension must be nonnegative, got {n}")
+    if n > SPHERE_DIM_CAP:
+        raise CapExceeded(f"sphere: dimension {n} exceeds the cap of {SPHERE_DIM_CAP}")
+
+
 def point() -> SSet:
     return SSet.build("*", {"*": 0}, {})
 
@@ -355,10 +344,7 @@ def build_sphere(n: int) -> SSet:
     >>> build_sphere(1).generators()
     ('*', 'e1')
     """
-    if n < 0:
-        raise DomainError(f"sphere dimension must be nonnegative, got {n}")
-    if n > SPHERE_DIM_CAP:
-        raise CapExceeded(f"sphere: dimension {n} exceeds the cap of {SPHERE_DIM_CAP}")
+    check_sphere_dim(n)
     if n == 0:
         return SSet.build("*", {"*": 0, "e0": 0}, {})
     K = SSet.build("*", {"*": 0, f"e{n}": n}, {f"e{n}": tuple(
@@ -369,11 +355,31 @@ def build_sphere(n: int) -> SSet:
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
 
 
-def _pair_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
-    """Jointly nondegenerate pairs per dimension, from the censuses of the
-    two factors: a p-cell and a q-cell give C(m, p) C(p, m - q) m-cells, the
-    m - p degeneracies of the first entry placed anywhere and the m - q of
-    the second among the p places left."""
+def _check_size(stage: str, size: int) -> None:
+    if size > SMASH_POWER_CAP:
+        raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
+
+
+def pair_census(ca: dict[int, int], cb: dict[int, int], check) -> Counter:
+    """Jointly nondegenerate pairs per dimension, from the censuses {dim:
+    cells} of two factors: a p-cell and a q-cell give C(m, p) C(p, m - q)
+    m-cells, and D(p, q) in all, the Delannoy number. check(total) sees the
+    total first and may refuse it; each term counts at least one pair, so a
+    total under a cap is split by dimension in at most that many terms.
+
+    >>> circle = {0: 1, 1: 1}
+    >>> sorted(pair_census(circle, circle, print).items())
+    6
+    [(0, 1), (1, 3), (2, 2)]
+    """
+    delannoy, row = {}, [1] * (max(cb, default=0) + 1)  # row[q] = D(p, q), from D(0, q) = 1
+    for p in range(max(ca, default=0) + 1):
+        if p in ca:
+            delannoy[p] = row[:]
+        diag = row[0]
+        for q in range(1, len(row)):  # D(p + 1, q) = D(p, q) + D(p + 1, q - 1) + D(p, q - 1)
+            row[q], diag = row[q] + row[q - 1] + diag, row[q]
+    check(sum(a * b * delannoy[p][q] for p, a in ca.items() for q, b in cb.items()))
     out: Counter = Counter()
     for p, a in ca.items():
         for q, b in cb.items():
@@ -382,14 +388,19 @@ def _pair_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
     return out
 
 
-def _pair_total(A: SSet, B: SSet, basepoints: bool) -> int:
-    """Jointly nondegenerate pairs of A x B, basepoint generators kept or not."""
-    return sum(_pair_census(dimension_census(A, basepoints), dimension_census(B, basepoints)).values())
+def product_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
+    """Generators of A x B per dimension from those of A and B; refused past SMASH_POWER_CAP."""
+    return pair_census(ca, cb, functools.partial(_check_size, "product"))
 
 
-def _check_size(stage: str, size: int) -> None:
-    if size > SMASH_POWER_CAP:
-        raise CapExceeded(f"{stage}: {size} generators, over the cap of {SMASH_POWER_CAP}")
+_BASEPOINT = Counter({0: 1})
+
+
+def smash_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
+    """Generators of A ^ B per dimension from those of A and B: the basepoint
+    and the pairs of other generators; refused past SMASH_POWER_CAP."""
+    pairs = pair_census(Counter(ca) - _BASEPOINT, Counter(cb) - _BASEPOINT, lambda n: _check_size("smash", 1 + n))
+    return _BASEPOINT + pairs
 
 
 def _tuple_complex(basepoint: str, factors, named, reduce) -> tuple[SSet, tuple[tuple[str, tuple], ...]]:
@@ -435,7 +446,7 @@ def _cells(factors, basepoints: bool, power: int = 1):
 @functools.lru_cache(maxsize=None)
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
-    _check_size("product", _pair_total(A, B, basepoints=True))
+    product_census(dimension_census(A, True), dimension_census(B, True))
     named = ((f"({simplex_token(x)},{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), True))
     return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), named, tuple)
 
@@ -498,7 +509,7 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core, named "(x^y)"; a face whose joint normal form has a
     basepoint core lands on the basepoint "*".
     """
-    _check_size("smash", smash_size(A, B))
+    smash_census(dimension_census(A, True), dimension_census(B, True))
     named = ((f"({simplex_token(x)}^{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), False))
     return _tuple_complex("*", (A, B), named,
                           lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
@@ -506,12 +517,6 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
 
 def smash(A: SSet, B: SSet) -> SSet:
     return smash_with_pairs(A, B)[0]
-
-
-def smash_size(A: SSet, B: SSet) -> int:
-    """Generator count of smash(A, B) from the two dimension censuses: the
-    pairs of non-basepoint generators, and the basepoint."""
-    return 1 + _pair_total(A, B, basepoints=False)
 
 
 def _smash_class(a: str, b: str, x: Simplex, y: Simplex) -> Simplex:

@@ -239,6 +239,27 @@ def james_cell_count(gen_dims: list[int], n: int, m: int) -> int:
     return total
 
 
+def nondegenerate_count(censuses, m: int, power: int = 1) -> int:
+    """Jointly nondegenerate m-tuples, one m-simplex from each factor given
+    by its census {dim: generators}, the factor list repeated power times.
+
+    Inclusion-exclusion over the shared degeneracy indices: a p-dimensional
+    generator has C(m - k, p) m-simplices in the image of k given
+    degeneracies, so the count is sum_k (-1)^k C(m, k) prod_i sum_p c_i(p)
+    C(m - k, p), whose product only shrinks as k grows.
+    """
+    import math
+
+    total, binom = 0, 1  # binom = C(m, k)
+    for k in range(m + 1):
+        size = math.prod(sum(c * math.comb(m - k, p) for p, c in census.items()) for census in censuses)
+        if not size:
+            break
+        total += (-1) ** k * binom * size ** power
+        binom = binom * (m - k) // (k + 1)
+    return total
+
+
 def multiplicative_order(a: int, p: int) -> int:
     """Order of a in the units mod p, by direct iteration."""
     a %= p

@@ -9,9 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ehpcalc
-from ehpcalc.cli import MAX_NESTING, main
+from ehpcalc.cli import MAX_NESTING, main, parse_space
+from ehpcalc.errors import DomainError
+from ehpcalc.james import james_census
 
 
 def run_cli(argv, capsys):
@@ -659,6 +662,26 @@ def test_main_builds_no_parser(capsys, monkeypatch):
     assert built == []
 
 
+# small space expressions: atoms, +, x and ^, and J and Q at levels 1-3
+_SPACES = st.recursive(
+    st.sampled_from(["pt", "S0", "S1", "S2", "S3"]),
+    lambda sub: st.builds("({}{}{})".format, sub, st.sampled_from("+x^"), sub)
+    | st.builds("{}({},{})".format, st.sampled_from("JQ"), sub, st.integers(1, 3)),
+    max_leaves=3)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(space=_SPACES, n=st.integers(1, 3))
+def test_james_census_matches_the_built_space(space, n, capsys):
+    """james counts from censuses what james_census reads off the built space."""
+    try:
+        counts = james_census(parse_space(space), n)
+        want = (0, "{" + ", ".join(f"{d}: {c}" for d, c in sorted(counts.items())) + "}\n", "")
+    except DomainError as exc:
+        want = (1, "", f"error: {exc}\n")
+    assert run_cli(["james", "--space", space, "-n", str(n)], capsys) == want
+
+
 def _limit_address_space():
     limit = 2_000_000 * 1024  # ulimit -v 2000000
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -668,6 +691,10 @@ def _limit_address_space():
 # at r = 4 answers, and any r past the word length gives the empty word "*".
 _TEN_LETTERS = "abcdeabcde"
 _TEN_LETTER_HOPF = "".join(f"((({a}^{b})^{c})^{d})" for a, b, c, d in itertools.combinations(_TEN_LETTERS, 4))
+# a wedge of the spheres S1 to S256, whose products and smashes are refused
+# from its census, and 100 distinct letters at the top letter dimension
+_SPHERES_256 = "+".join(f"S{n}" for n in range(1, 257))
+_HUNDRED_LETTERS = [f"x{i}" for i in range(100)]
 
 # Each input exits 1 with an error, or exits 0 with the given stdout.
 BOUNDED_INPUTS = [
@@ -694,6 +721,10 @@ BOUNDED_INPUTS = [
     (["gw", "--expr", "<1e100000000>", "--field", "q"], None),
     (["hopf", "--word", "x", "-r", "1", "--dim", "100000"], None),
     (["kmw", "--expr", _FORTY_FORMS, "--field", "q"], None),
+    (["homology", "--space", f"({_SPHERES_256})x({_SPHERES_256})"], None),
+    (["james", "--space", f"({_SPHERES_256})x({_SPHERES_256})", "-n", "1"], None),
+    (["james", "--space", _SPHERES_256, "-n", "1"], "{" + ", ".join(f"{d}: 1" for d in range(257)) + "}\n"),
+    (["hopf", "--word", "|".join(_HUNDRED_LETTERS), "--dim", "256", "-r", "1"], "".join(_HUNDRED_LETTERS) + "\n"),
 ]
 
 

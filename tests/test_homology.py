@@ -1,7 +1,6 @@
 """Smith normal form and reduced integral homology."""
 from __future__ import annotations
 
-import functools
 import math
 import random
 
@@ -27,7 +26,8 @@ from ehpcalc.homology import (
     tensor,
 )
 from ehpcalc.james import smash_power
-from ehpcalc.simplicial import SSet, Simplex, build_sphere, point, product, smash, suspension, wedge
+from ehpcalc.simplicial import (SSet, Simplex, build_sphere, dimension_census, point, product, smash, suspension,
+                                wedge)
 
 from oracles import (
     gcd_of_minors,
@@ -36,6 +36,7 @@ from oracles import (
     rational_rank,
     reference_smith_normal_form,
 )
+from test_cli import BOUNDED_INPUTS, COMPOSITE_ANSWERS, GOLDEN_ERRORS
 
 S0, S1, S2, S3 = (build_sphere(n) for n in range(4))
 
@@ -214,20 +215,25 @@ class TestTorsion:
         ]
 
 
-ATOMS = {"pt": point(), "S0": S0, "S1": S1, "S2": S2, "M": MOORE}
+ATOMS = ("M", "S0", "S1", "S2", "pt")
 
 # composites of up to three atoms: an atom's name, (op, left, right) for op
 # in + x ^, or (J or Q, inner, level) with level <= 3
 composites = st.recursive(
-    st.sampled_from(sorted(ATOMS)),
+    st.sampled_from(ATOMS),
     lambda sub: st.tuples(st.sampled_from("+x^"), sub, sub) | st.tuples(st.sampled_from("JQ"), sub, st.integers(1, 3)),
     max_leaves=3)
 
 
 def fold(e, alg):
-    """e evaluated in one of the CLI's algebras: built complexes or chains."""
+    """e evaluated in one of the CLI's algebras: built complexes or chains;
+    M, which the grammar lacks, is lifted from its built complex."""
+    if e == "M":
+        return MOORE if alg is cli._BUILD else reduced_chains(MOORE)
+    if e == "pt":
+        return alg.point()
     if isinstance(e, str):
-        return alg.lift(ATOMS[e])
+        return alg.sphere(int(e[1:]))
     op, a, b = e
     if op in "JQ":
         return (alg.james if op == "J" else alg.quotient)(fold(a, alg), b)
@@ -288,16 +294,34 @@ class TestChainsOfParts:
         with pytest.raises(DomainError, match="^truncation level must be >= 1$"):
             james_chains(reduced_chains(point()), 0)
 
+    def test_unbuilt_atoms_match_the_built(self):
+        for n in range(9):
+            assert cli._CHAINS.sphere(n) == reduced_chains(build_sphere(n))
+            assert cli._CENSUS.sphere(n) == dimension_census(build_sphere(n), True)
+        assert cli._CHAINS.point() == reduced_chains(point())
+        assert cli._CENSUS.point() == dimension_census(point(), True)
+
     def test_cli_builds_no_product(self, capsys, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("a product or smash was built")
+            raise AssertionError("a complex was built")
 
-        monkeypatch.setattr(simplicial, "_tuple_complex", unreachable)
-        # fresh caches, so that no product built earlier is handed back
-        for name in ("product_with_pairs", "smash_with_pairs"):
-            monkeypatch.setattr(simplicial, name, functools.lru_cache(getattr(simplicial, name).__wrapped__))
+        # every complex, the atoms included, is checked by SSet.build
+        monkeypatch.setattr(simplicial.SSet, "build", unreachable)
         assert cli.main(["homology", "--space", "S2xS2xS2"]) == 0
         assert capsys.readouterr().out == "{2: Z^3, 4: Z^3, 6: Z}\n"
+        # the golden homology and james calls of the CLI tests read the same
+        for argv, code, err in GOLDEN_ERRORS:
+            if argv[0] in ("homology", "james"):
+                assert (cli.main(argv), *capsys.readouterr()) == (code, "", err), argv
+        for space, out in COMPOSITE_ANSWERS:
+            assert (cli.main(["homology", "--space", space]), *capsys.readouterr()) == (0, out, ""), space
+        for argv, stdout in BOUNDED_INPUTS:
+            if argv[0] in ("homology", "james"):
+                code, out, err = cli.main(argv), *capsys.readouterr()
+                if stdout is None:
+                    assert code == 1 and err.startswith("error: "), argv
+                else:
+                    assert (code, out) == (0, stdout), argv
 
 
 class TestHomologyGroup:

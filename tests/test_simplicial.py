@@ -29,7 +29,6 @@ from ehpcalc.simplicial import (
     in_degeneracy_image,
     insert_degeneracy,
     joint_normal_form,
-    nondegenerate_count,
     nondegenerate_tuples,
     point,
     product,
@@ -38,8 +37,8 @@ from ehpcalc.simplicial import (
     sset_dumps,
     sset_loads,
     smash,
+    smash_census,
     smash_class,
-    smash_size,
     smash_with_pairs,
     suspension,
     wedge,
@@ -48,6 +47,7 @@ from ehpcalc.simplicial import (
 from oracles import (
     assert_faces_follow_class_rule,
     assert_generator_isomorphism,
+    nondegenerate_count,
     reference_face,
     reference_in_degeneracy_image,
     reference_joint_normal_form,
@@ -178,7 +178,9 @@ class TestConstructors:
 
         for A, B in itertools.product(TEST_COMPLEXES + [wedge(S0, S2)], repeat=2):
             expected = 1 + sum(shuffle_count(dims(A), dims(B), n) for n in range(A.max_dim + B.max_dim + 1))
-            assert smash_size(A, B) == expected == smash(A, B).n_generators
+            census = smash_census(dimension_census(A, True), dimension_census(B, True))
+            assert sum(census.values()) == expected == smash(A, B).n_generators
+            assert census == dimension_census(smash(A, B), True)
 
     def test_products_and_smashes_counted_before_built(self):
         S4, S12 = build_sphere(4), build_sphere(12)
