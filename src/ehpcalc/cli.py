@@ -21,7 +21,7 @@ import re
 import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from .ehp import (
     SphereBidegree,
@@ -185,7 +185,8 @@ _SPACE_RE = re.compile(r"S\d+|pt|J|Q|\d+|[+^x(),]")
 
 
 # What a space expression folds into: sphere(n) and point() for Sn and pt,
-# the combines of +, x and ^, and james and quotient for J(K,n) and Q(K,n).
+# wedge of all the parts of a + chain, the combines of x and ^, and james
+# and quotient for J(K,n) and Q(K,n).
 _Algebra = namedtuple("_Algebra", "sphere point wedge product smash james quotient")
 # built complexes, for parse_space; the James builders are looked up at each
 # call, so that a profiler's wrapper on this module sees them
@@ -193,10 +194,11 @@ _BUILD = _Algebra(build_sphere, point, wedge, product, smash, lambda K, n: james
                   lambda K, n: james_quotient(K, n)[0])
 # reduced chains (Eilenberg-Zilber and the James splitting), for homology:
 # Sn has one cell, in degree n, with zero boundary, and pt has none
-_CHAINS = _Algebra(lambda n: [[] for _ in range(n)] + [[{}]], lambda: [[]], direct_sum, reduced_product,
-                   tensor, james_chains, partial(james_chains, quotient=True))
+_CHAINS = _Algebra(lambda n: [[] for _ in range(n)] + [[{}]], lambda: [[]], lambda *cs: reduce(direct_sum, cs),
+                   reduced_product, tensor, james_chains, partial(james_chains, quotient=True))
 # censuses with the basepoint, for james: a wedge shares one basepoint
-_CENSUS = _Algebra(lambda n: Counter([0, n]), lambda: Counter([0]), lambda a, b: a + b - Counter([0]),
+_CENSUS = _Algebra(lambda n: Counter([0, n]), lambda: Counter([0]),
+                   lambda *parts: reduce(lambda a, b: a + b - Counter([0]), parts),
                    product_census, smash_census, truncation_census, partial(truncation_census, quotient=True))
 
 
@@ -250,7 +252,8 @@ def _space_product(cur, alg: _Algebra):
 
 
 def _space_sum(cur, alg: _Algebra):
-    return _fold(cur, "+", _space_product, alg.wedge, alg)
+    # the parts of a + chain, all read before one wedge (which refuses nothing)
+    return alg.wedge(*_fold(cur, "+", lambda *read: [_space_product(*read)], list.__add__, alg))
 
 
 # -- james words: letters split on |, each "s1 s0 name" with ops outermost first

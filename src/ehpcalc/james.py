@@ -6,8 +6,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
-from operator import attrgetter
+from functools import cache, lru_cache, partial, reduce
+from operator import attrgetter, is_not
 
 from .errors import CapExceeded, DomainError
 from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _cells, _simplex, _smash_class,
@@ -31,31 +31,47 @@ def _check_factors(r: int) -> None:
 
 @lru_cache(maxsize=None)
 def smash_power(K: SSet, r: int) -> SSet:
-    """Left-associated smash power, assembled in one pass from the jointly
-    nondegenerate r-tuples of non-basepoint simplices of K, named as
-    smash_power_class names them; each power up to r is counted first, the
-    one before smashed with K, and the first over the cap refuses, as a fold
-    of smash would."""
+    """Left-associated smash power, assembled in one pass from the cells
+    _power_cells names; each power up to r is counted first, the one before
+    smashed with K, and the first over the cap refuses, as a fold of smash
+    would."""
     _check_factors(r)
     census = dimension_census(K, basepoint=True)
     reduce(lambda power, _: smash_census(power, census), range(r - 1), census)
     if r == 1:
         return K
-    power_class = partial(_power_class, K.basepoint, known={})
-    named = ((power_class(xs).generator, xs) for xs in _cells((K,), False, r))
-    return _tuple_complex("*", (K,), named, lambda xs: () if K.basepoint in map(_generator, xs) else xs)[0]
+    return _tuple_complex("*", (K,), _power_cells(K, r), lambda xs: () if K.basepoint in map(_generator, xs) else xs)
+
+
+def _power_cells(K: SSet, r: int):
+    """(name, cell) for the jointly nondegenerate r-tuples of non-basepoint
+    simplices of K, named as smash_power_class names them. The cells come
+    in itertools.product order, so each prefix is named once, from the one
+    a letter shorter, and each simplex's token is made once per call."""
+    step = partial(_power_step, K.basepoint, token=cache(simplex_token))
+    classes, named = [], ()  # classes[j]: the class of the first j + 1 letters of named
+    for xs in _cells((K,), False, r):
+        j = next(itertools.compress(itertools.count(), map(is_not, xs, named)), 0)
+        del classes[j:]
+        for x in xs[j:-1]:
+            classes.append(step(classes[-1], x, len(classes) == 1) if classes else x)
+        named = xs
+        yield step(classes[-1], xs[-1], r == 2).generator, xs
+
+
+def _power_step(basepoint: str, out: Simplex, x: Simplex, first: bool, token=simplex_token) -> Simplex:
+    """out ^ x, over the basepoint at the first step (out a letter) and over "*" after."""
+    return _smash_class(basepoint if first else "*", basepoint, out, x, token)
 
 
 def _power_class(basepoint: str, xs, known: dict) -> Simplex:
-    """Left-nested smash classes, the first over the basepoint and the later
-    ones over "*". known keeps each step under all three of its arguments (K
-    may have a vertex named "*"), so prefixes shared within a call are named once."""
-    out, a = xs[0], basepoint
+    """Left-nested smash classes by _power_step, each step kept in known under its arguments."""
+    out, first = xs[0], True
     for x in xs[1:]:
-        key = a, out, x
+        key = first, out, x
         if key not in known:
-            known[key] = _smash_class(a, basepoint, out, x)
-        out, a = known[key], "*"
+            known[key] = _power_step(basepoint, out, x, first)
+        out, first = known[key], False
     return out
 
 
@@ -178,9 +194,9 @@ def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
     cells = (xs for m, ys in letters.items() if ys for ell in range(1, n + 1)
              for xs in nondegenerate_tuples([ys], m, power=ell))
     tokens = {x: simplex_token(x) for ys in letters.values() for x in ys}  # once per letter
-    named = ((f"[{'|'.join(map(tokens.__getitem__, xs))}]", xs) for xs in cells)  # words can be long
-    J, words = _tuple_complex("*", (K,), named, lambda xs: tuple(x for x in xs if x.generator != K.basepoint))
-    return J, {name: _word(K, xs[0].dim, xs) for name, xs in words}
+    named = [(f"[{'|'.join(map(tokens.__getitem__, xs))}]", xs) for xs in cells]  # words can be long
+    J = _tuple_complex("*", (K,), named, lambda xs: tuple(x for x in xs if x.generator != K.basepoint))
+    return J, {name: _word(K, xs[0].dim, xs) for name, xs in sorted(named)}
 
 
 def james_truncation(K: SSet, n: int) -> SSet:
@@ -270,7 +286,7 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
         token = "|".join(simplex_token(power_class(core[k:k + r])) for k in range(0, len(core), r))
         images[name] = _simplex(f"[{token}]" if token else "*", word, w.dim)
         cells[images[name].generator] = core  # the empty word is the basepoint cell
-    T, _ = _tuple_complex("*", (K,), ((g, xs) for g, xs in cells.items() if xs), kept)
+    T = _tuple_complex("*", (K,), ((g, xs) for g, xs in cells.items() if xs), kept)
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 

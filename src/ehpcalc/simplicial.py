@@ -91,8 +91,8 @@ def _simplex(generator: str, word: tuple[int, ...], dim: int) -> Simplex:
     return tuple.__new__(Simplex, (generator, word, dim))
 
 
-_NAME_RE = re.compile(r"^\S+$")
-_DEGENERACY_NAME_RE = re.compile(r"s\d+")
+# no whitespace, and not a degeneracy operator such as "s0"
+_NAME_RE = re.compile(r"(?!s\d+\Z)\S+$")
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,16 @@ class SSet:
     face_table: tuple[tuple[str, tuple[Simplex, ...]], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_dims", {n: d for n, d in self.gens})
+        object.__setattr__(self, "_dims", dict(self.gens))
         object.__setattr__(self, "_faces", dict(self.face_table))
-        by_dim: dict[int, list[str]] = {}
-        for n, d in self.gens:
-            by_dim.setdefault(d, []).append(n)
-        object.__setattr__(self, "_by_dim", {d: tuple(v) for d, v in by_dim.items()})
-        # hashed once: caches keyed on complexes would otherwise re-hash
-        # every face on every lookup
-        object.__setattr__(self, "_hash", hash((self.basepoint, self.gens, self.face_table)))
+        by_dim = itertools.groupby(self.gens, operator.itemgetter(1))  # gens are sorted by dim
+        object.__setattr__(self, "_by_dim", {d: tuple(n for n, _ in g) for d, g in by_dim})
 
     def __hash__(self) -> int:
+        # hashed once, on first use: caches keyed on complexes would otherwise
+        # re-hash every face on every lookup, and most complexes are never hashed
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.basepoint, self.gens, self.face_table)))
         return self._hash
 
     # -- construction ---------------------------------------------------
@@ -129,7 +128,7 @@ class SSet:
         if basepoint not in dims or dims[basepoint] != 0:
             raise DomainError(f"basepoint {basepoint!r} must be a dimension-0 generator")
         for name, d in dims.items():
-            if not _NAME_RE.match(name) or _DEGENERACY_NAME_RE.fullmatch(name):
+            if not _NAME_RE.match(name):
                 raise DomainError(f"bad generator name {name!r}")
             if d < 0:
                 raise DomainError(f"generator {name!r} has negative dimension")
@@ -137,39 +136,44 @@ class SSet:
                 raise DomainError(f"dimension-0 generator {name!r} cannot have faces")
             if d > 0 and (name not in faces or len(faces[name]) != d + 1):
                 raise DomainError(f"generator {name!r} needs exactly {d + 1} faces")
-        gens = tuple(sorted(dims.items(), key=lambda p: (p[1], p[0])))
+        gens = tuple(sorted(dims.items(), key=operator.itemgetter(1, 0)))
         table = tuple((n, tuple(faces[n])) for n, d in gens if d > 0)
         K = SSet(basepoint, gens, table)
         K._validate()
         return K
 
     def _validate(self) -> None:
-        for name, d in self.gens:
-            if d == 0:
+        """Check every face's generator and dimension, then the identity
+        d_i d_j = d_{j-1} d_i for i < j on every generator. Both depend only
+        on the face tuple (d is its length less one): each distinct tuple is
+        checked once, under the first generator in (dim, name) order with it."""
+        first: dict[tuple[Simplex, ...], str] = {}
+        for name, faces in self.face_table:
+            if first.setdefault(faces, name) != name:
                 continue
-            for i, f in enumerate(self.faces_of(name)):
-                if f.generator not in self._dims:
-                    raise DomainError(f"face {i} of {name!r} references unknown generator {f.generator!r}")
-                if f.dim != d - 1 or self.dim_of(f.generator) + len(f.word) != f.dim:
+            d = len(faces) - 1
+            for i, (generator, word, dim) in enumerate(faces):
+                if (at := self._dims.get(generator)) is None:
+                    raise DomainError(f"face {i} of {name!r} references unknown generator {generator!r}")
+                if dim != d - 1 or at + len(word) != dim:
                     raise DomainError(f"face {i} of {name!r} has inconsistent dimension")
-        # simplicial identity d_i d_j = d_{j-1} d_i for i < j, on generators,
-        # which depends only on the faces: checked once per distinct face
-        # tuple; ff[j][i] = d_i d_j x, computed once per distinct face simplex
-        faces_of: dict[Simplex, list[Simplex]] = {}
-        checked: set[tuple[Simplex, ...]] = set()
-        for name, d in self.gens:
-            if d < 2 or self._faces[name] in checked:
+        # ff[j][i] = d_i d_j x: a nondegenerate face's faces are its row of the
+        # table, and a degenerate one's are computed once per distinct simplex
+        faces_of: dict[Simplex, tuple[Simplex, ...]] = {}
+        for faces, name in first.items():
+            d = len(faces) - 1
+            if d < 2:
                 continue
-            checked.add(self._faces[name])
             ff = []
-            for f in self._faces[name]:
-                if f not in faces_of:
-                    faces_of[f] = [face(self, f, i) for i in range(d)]
-                ff.append(faces_of[f])
-            for j in range(1, d + 1):
-                for i in range(j):
-                    if ff[j][i] != ff[i][j - 1]:
-                        raise DomainError(f"simplicial identity fails at generator {name!r} (i={i}, j={j})")
+            for f in faces:
+                if f.word and f not in faces_of:
+                    faces_of[f] = tuple(face(self, f, i) for i in range(d))
+                ff.append(faces_of[f] if f.word else self._faces[f.generator])
+            column = tuple(zip(*ff))  # column[j - 1][i] = d_{j-1} d_i x
+            for j in range(1, d + 1):  # all i < j at once, then the first i that fails
+                if ff[j][:j] != column[j - 1][:j]:
+                    i = next(i for i in range(j) if ff[j][i] != column[j - 1][i])
+                    raise DomainError(f"simplicial identity fails at generator {name!r} (i={i}, j={j})")
 
     # -- lookups --------------------------------------------------------
 
@@ -347,9 +351,8 @@ def build_sphere(n: int) -> SSet:
     check_sphere_dim(n)
     if n == 0:
         return SSet.build("*", {"*": 0, "e0": 0}, {})
-    K = SSet.build("*", {"*": 0, f"e{n}": n}, {f"e{n}": tuple(
-        Simplex("*", tuple(range(n - 2, -1, -1)), n - 1) for _ in range(n + 1))})
-    return K
+    over_basepoint = _simplex("*", tuple(range(n - 2, -1, -1)), n - 1)
+    return SSet.build("*", {"*": 0, f"e{n}": n}, {f"e{n}": (over_basepoint,) * (n + 1)})
 
 
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
@@ -403,13 +406,13 @@ def smash_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
     return _BASEPOINT + pairs
 
 
-def _tuple_complex(basepoint: str, factors, named, reduce) -> tuple[SSet, tuple[tuple[str, tuple], ...]]:
+def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
     """The complex on the given (name, cell) pairs, each cell a tuple of
-    m-simplices with entry j in factors[j % len(factors)], and those pairs,
-    sorted. Each cell is named once. Face i of a cell takes its entries'
-    faces i, lets reduce drop what the construction collapses, and is the
-    name of their joint core under the shared word, or the basepoint when
-    nothing is left; SSet.build checks every identity."""
+    m-simplices with entry j in factors[j % len(factors)]. Each cell is
+    named once. Face i of a cell takes its entries' faces i, lets reduce
+    drop what the construction collapses, and is the name of their joint
+    core under the shared word, or the basepoint when nothing is left;
+    SSet.build checks every identity."""
     names = {cell: name for name, cell in named}
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
@@ -430,9 +433,8 @@ def _tuple_complex(basepoint: str, factors, named, reduce) -> tuple[SSet, tuple[
     for cell, name in names.items():
         dims[name] = dim = cell[0].dim
         if dim:
-            entries = (faces_of[j % len(factors)](x) for j, x in enumerate(cell))
-            faces[name] = tuple(map(face_class, zip(*entries)))
-    return SSet.build(basepoint, dims, faces), tuple(sorted((name, cell) for cell, name in names.items()))
+            faces[name] = tuple(map(face_class, zip(*[f(x) for f, x in zip(itertools.cycle(faces_of), cell)])))
+    return SSet.build(basepoint, dims, faces)
 
 
 def _cells(factors, basepoints: bool, power: int = 1):
@@ -447,33 +449,31 @@ def _cells(factors, basepoints: bool, power: int = 1):
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     """Categorical product plus the generator-to-component-pair table."""
     product_census(dimension_census(A, True), dimension_census(B, True))
-    named = ((f"({simplex_token(x)},{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), True))
-    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), named, tuple)
+    named = [(f"({simplex_token(x)},{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), True)]
+    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), named, tuple), tuple(sorted(named))
 
 
 def product(A: SSet, B: SSet) -> SSet:
     return product_with_pairs(A, B)[0]
 
 
-def wedge(A: SSet, B: SSet) -> SSet:
-    """One-point union; generators keep their names behind l./r. prefixes."""
+def wedge(A: SSet, *more: SSet) -> SSet:
+    """One-point union of the parts in one build, named as the left fold
+    wedge(wedge(A, B), C) names it: part k of n behind "l." n - k times
+    and, after the first, one "r.". One part is returned as it is."""
     dims: dict[str, int] = {"*": 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
-
-    def port(K: SSet, prefix: str) -> None:
+    for k, K in enumerate((A, *more)):
+        prefix = "l." * (len(more) - k) + ("r." if k else "")
         for name, d in K.gens:
             if name == K.basepoint:
                 continue
-            new = prefix + name
-            dims[new] = d
+            dims[prefix + name] = d
             if d > 0:
-                faces[new] = tuple(
+                faces[prefix + name] = tuple(
                     _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
                     for f in K.faces_of(name))
-
-    port(A, "l.")
-    port(B, "r.")
-    return SSet.build("*", dims, faces)
+    return SSet.build("*", dims, faces) if more else A
 
 
 def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
@@ -510,20 +510,21 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
     basepoint core lands on the basepoint "*".
     """
     smash_census(dimension_census(A, True), dimension_census(B, True))
-    named = ((f"({simplex_token(x)}^{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), False))
-    return _tuple_complex("*", (A, B), named,
-                          lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
+    named = [(f"({simplex_token(x)}^{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), False)]
+    S = _tuple_complex("*", (A, B), named,
+                       lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
+    return S, tuple(sorted(named))
 
 
 def smash(A: SSet, B: SSet) -> SSet:
     return smash_with_pairs(A, B)[0]
 
 
-def _smash_class(a: str, b: str, x: Simplex, y: Simplex) -> Simplex:
-    word, (cx, cy) = joint_normal_form((x, y), x.dim)
+def _smash_class(a: str, b: str, x: Simplex, y: Simplex, token=simplex_token) -> Simplex:
+    word, (cx, cy) = ((), (x, y)) if set(x.word).isdisjoint(y.word) else joint_normal_form((x, y), x.dim)
     if cx.generator == a or cy.generator == b:
         return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
-    return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
+    return _simplex(f"({token(cx)}^{token(cy)})", word, x.dim)
 
 
 def smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:

@@ -15,6 +15,7 @@ import ehpcalc
 from ehpcalc.cli import MAX_NESTING, main, parse_space
 from ehpcalc.errors import DomainError
 from ehpcalc.james import james_census
+from ehpcalc.simplicial import SSet, build_sphere, product, smash, sset_dumps, wedge
 
 
 def run_cli(argv, capsys):
@@ -72,6 +73,18 @@ class TestSpaceGrammar:
         code, out, _ = run_cli(["homology", "--space", "S1 + S1 ^ S1"], capsys)
         assert code == 0
         assert out == "{1: Z, 2: Z}\n"
+
+    def test_wedge_chains_build_once_as_the_left_fold(self, monkeypatch):
+        S1, S2, S3 = (build_sphere(n) for n in (1, 2, 3))
+        for text, want in [("S1+S2+S3", wedge(wedge(S1, S2), S3)), ("(S1+S2)+S3", wedge(wedge(S1, S2), S3)),
+                           ("S1+(S2+S3)", wedge(S1, wedge(S2, S3))),
+                           ("S1+S2xS1+S3^S1+S1", wedge(wedge(wedge(S1, product(S2, S1)), smash(S3, S1)), S1))]:
+            assert sset_dumps(parse_space(text)) == sset_dumps(want), text
+        checked = []
+        validate = SSet._validate
+        monkeypatch.setattr(SSet, "_validate", lambda K: checked.append(K) or validate(K))
+        parse_space("+".join(f"S{n}" for n in range(1, 9)))
+        assert len(checked) == 8 + 1  # each sphere, then the wedge once
 
     def test_james_census(self, capsys):
         code, out, _ = run_cli(["james", "--space", "S1", "-n", "2"], capsys)
@@ -740,3 +753,81 @@ def test_bounded_inputs_end_cleanly_in_a_child(argv, stdout):
         assert done.returncode == 1 and done.stderr.startswith("error: ")
     else:
         assert (done.returncode, done.stdout) == (0, stdout)
+
+
+# -- argv fuzzing: every subcommand, drawn to reach long wedges, high --dim
+# and wide products, the levels and sizes at the caps, and malformed text.
+_JUNK = st.text(alphabet="S0123456789+x^()JQ,pt[]<>*|s.aeg-/ _{}", max_size=12)
+_NUMBERS = st.integers(-3, 40) | st.sampled_from([255, 256, 257, 1999, 2000, 3000, 10**8])
+_FUZZ_ATOMS = st.sampled_from(["pt", "S0", "S1", "S2", "S3", "S12", "S256", "S257"])
+_FUZZ_SPACES = st.recursive(
+    _FUZZ_ATOMS | st.builds(lambda atom, k: "(" + "+".join([atom] * k) + ")", _FUZZ_ATOMS, st.integers(1, 256)),
+    lambda sub: st.builds("({}{}{})".format, sub, st.sampled_from("+x^"), sub)
+    | st.builds("{}({},{})".format, st.sampled_from("JQ"), sub, _NUMBERS),
+    max_leaves=4) | _JUNK
+_FUZZ_LETTERS = st.builds("{}{}".format, st.sampled_from(["", "", "", "s0 ", "s1 ", "s1 s0 ", "s9 "]),
+                          st.sampled_from(["x", "y", "z", "x7"]) | st.integers(0, 99).map("x{}".format))
+_FUZZ_WORDS = st.lists(_FUZZ_LETTERS, max_size=100).map("|".join) | _JUNK
+_FUZZ_FIELDS = st.sampled_from(["f3", "f5", "f9", "f25", "f4", "q", "r", "qbar", "real-closed", "f10000000000037",
+                                "bogus"])
+_FUZZ_FORMS = st.lists(st.builds("{}<{}>".format, st.sampled_from(["", "2", "-1", "20000"]),
+                                 st.sampled_from(["1", "-1", "2", "3", "g", "1/2", "0", "7e3"])),
+                       min_size=1, max_size=6).map("+".join) | _JUNK
+_FUZZ_SYMBOLS = st.lists(st.lists(st.sampled_from(["[2]", "[3]", "[5]", "[-1]", "[1/2]", "eta", "<2>", "<3>", "2"]),
+                                  min_size=1, max_size=16).map("*".join),
+                         min_size=1, max_size=3).map("+".join) | _JUNK
+_FUZZ_SHEAVES = st.lists(st.sampled_from(["KMW(2)", "KM(3)", "W", "I(1)", "KMW(5)_{-6}", "KM(2)/2", "GW"]),
+                         min_size=1, max_size=4).map(" (x) ".join) | _JUNK
+_N = _NUMBERS.map(str)
+_FUZZ_COMMANDS = st.one_of(
+    st.tuples(st.just("homology"), st.just("--space"), _FUZZ_SPACES),
+    st.tuples(st.just("james"), st.just("--space"), _FUZZ_SPACES, st.just("-n"), _N),
+    st.tuples(st.just("hopf"), st.just("--word"), _FUZZ_WORDS, st.just("-r"),
+              st.sampled_from(["0", "1", "2", "3", "4", "30", "1001", "1000000000"]), st.just("--dim"),
+              st.sampled_from([None, "0", "1", "2", "256", "257", "100000"]))
+    .map(lambda t: t[:5] if t[6] is None else t),
+    st.tuples(st.just("gw"), st.just("--expr"), _FUZZ_FORMS, st.just("--field"), _FUZZ_FIELDS),
+    st.tuples(st.just("kmw"), st.just("--expr"), _FUZZ_SYMBOLS, st.just("--field"), _FUZZ_FIELDS),
+    st.tuples(st.just("tensor"), st.just("--expr"), _FUZZ_SHEAVES),
+    st.tuples(st.just("ehp"), st.sampled_from(["hp", "exchange"]), st.just("-p"), _N, st.just("-q"), _N,
+              st.just("--field"), _FUZZ_FIELDS),
+    st.tuples(st.just("ehp"), st.just("sequence"), st.just("--sphere"),
+              st.builds("S[{}+{}a]".format, _NUMBERS, _NUMBERS) | st.builds("S[{}]".format, _NUMBERS) | _JUNK,
+              st.just("--mode"), st.sampled_from(["low_degree", "full_range"])),
+    st.tuples(st.just("ehp"), st.just("classical"), st.just("-p"), _N),
+    st.tuples(st.just("degree"), st.just("--map"),
+              st.sampled_from(["identity", "coordinate_flip", "whitehead_exchange_homotopy", "bogus"]),
+              st.just("--at"), st.builds("{}/{},{}/{}".format, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS) | _JUNK),
+    st.tuples(st.just("facts"), st.just("--key"), st.sampled_from(["pi_{4+5a}(S^{3+3a})", "pi_{9}(S^{2})"]) | _JUNK),
+    st.lists(st.sampled_from(["homology", "james", "hopf", "--space", "-n", "-r", "--bogus", "S1", "1"]),
+             max_size=4).map(tuple))
+_FUZZ_ARGV = st.builds(lambda command, fmt: list(command + fmt), _FUZZ_COMMANDS,
+                       st.sampled_from([(), ("--format", "json")]))
+
+# reads a JSON list of argvs on stdin and prints each exit code; an
+# exception other than SystemExit ends the child with a traceback
+_FUZZ_DRIVER = """
+import contextlib, io, json, sys
+from ehpcalc.cli import main
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps(code))
+"""
+
+
+@settings(max_examples=3, deadline=None, suppress_health_check=list(HealthCheck))
+@given(argvs=st.lists(_FUZZ_ARGV, min_size=30, max_size=30))
+def test_drawn_argvs_end_cleanly_in_a_child(argvs):
+    """Every drawn argv exits 0, 1 or 2 with no traceback, under the same
+    address-space limit as the bounded inputs; one child runs a batch."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FUZZ_DRIVER], input=json.dumps(argvs),
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          preexec_fn=_limit_address_space, timeout=600)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+    codes = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(codes) == len(argvs) and set(codes) <= {0, 1, 2}, list(zip(argvs, codes))

@@ -410,6 +410,18 @@ class TestSmashPowerBudget:
         with pytest.raises(CapExceeded, match="smash: 299713 generators, over the cap of 25000"):
             smash_power(W, 6)
 
+    def test_each_prefix_named_once(self, monkeypatch):
+        # one class step per distinct prefix of length 2 to r of a cell: a
+        # prefix with no cell is not named, and a cell adds only its last step
+        K, r = wedge(W, S1), 3
+        cells = [xs for m in range(r * K.max_dim + 1) for xs in reference_cells(K, r, m)]
+        calls = []
+        smash_class = james._smash_class
+        monkeypatch.setattr(james, "_smash_class", lambda *args: calls.append(args) or smash_class(*args))
+        assert smash_power.__wrapped__(K, r).n_generators == 1 + len(cells) == 352
+        assert len(calls) == len({xs[:k] for xs in cells for k in range(2, r + 1)})
+        assert len(calls) == len({args[:4] for args in calls})
+
     def test_classes_are_named_without_building(self):
         a, b = W.simplex("l.e1"), W.simplex("r.e1")
         built = smash_with_pairs.cache_info().currsize, smash_power.cache_info().currsize

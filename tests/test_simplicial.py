@@ -5,7 +5,9 @@ of products and smashes or the l./r. prefixes of wedges.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,13 @@ class TestConstructors:
     def test_wedge_unit(self):
         W = wedge(S1, point())
         assert_generator_isomorphism(W, S1, {g: g.removeprefix("l.") for g in W.generators()})
+
+    def test_wedge_of_many_parts_is_the_left_fold(self):
+        # one build, named as the left fold of binary wedges names it
+        parts = [S0, S1, point(), S2, wedge(S1, S1), MOORE, product(S1, S1)]
+        for n in range(2, len(parts) + 1):
+            assert sset_dumps(wedge(*parts[:n])) == sset_dumps(functools.reduce(wedge, parts[:n]))
+        assert wedge(S2) is S2
 
     def test_smash_unit_s0(self):
         for K in [S1, S2, wedge(S1, S1)]:
@@ -470,6 +479,41 @@ class TestValidation:
     def test_missing_face_rejected(self):
         with pytest.raises(DomainError):
             SSet.build("*", {"*": 0, "a": 1}, {})
+
+    # Hand-made face tables that each break one identity or face; every
+    # error reads as it did when each generator was checked on its own.
+    PT, V, W = (Simplex(name, (), 0) for name in "*vw")
+
+    @staticmethod
+    def refused(dims, faces, text):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            SSet.build("*", {"*": 0, "v": 0, "w": 0} | dims, faces)
+
+    def test_identity_broken_through_nondegenerate_faces(self):
+        # c = (a, b, e), edges of the table: d_1 d_2 c = d_1 e = v, d_1 d_1 c = d_1 b = w
+        edges = {"a": (self.V, self.PT), "b": (self.V, self.W), "e": (self.PT, self.V)}
+        self.refused({"a": 1, "b": 1, "e": 1, "c": 2},
+                     edges | {"c": tuple(Simplex(g, (), 1) for g in "abe")},
+                     "simplicial identity fails at generator 'c' (i=1, j=2)")
+
+    def test_identity_broken_through_degenerate_faces(self):
+        # c = (s0 v, s0 v, s0 w): d_0 d_2 c = w, d_1 d_0 c = v
+        sv, sw = Simplex("v", (0,), 1), Simplex("w", (0,), 1)
+        self.refused({"c": 2}, {"c": (sv, sv, sw)}, "simplicial identity fails at generator 'c' (i=0, j=2)")
+
+    def test_shared_face_tuple_names_the_first_generator(self):
+        # y and x share one bad face tuple; m has a good one and comes first
+        sv, sw = Simplex("v", (0,), 1), Simplex("w", (0,), 1)
+        self.refused({"y": 2, "m": 2, "x": 2}, {"y": (sv, sv, sw), "m": (sv, sv, sv), "x": (sv, sv, sw)},
+                     "simplicial identity fails at generator 'x' (i=0, j=2)")
+
+    def test_unknown_face_reported_before_an_earlier_identity(self):
+        # a breaks an identity, but b's faces are checked first
+        sv, sw = Simplex("v", (0,), 1), Simplex("w", (0,), 1)
+        self.refused({"a": 2, "b": 2}, {"a": (sv, sv, sw), "b": (sv, Simplex("q", (0,), 1), sv)},
+                     "face 1 of 'b' references unknown generator 'q'")
+        self.refused({"a": 2, "b": 2}, {"a": (sv, sv, sw), "b": (sv, sv, Simplex("v", (), 1))},
+                     "face 2 of 'b' has inconsistent dimension")
 
     def test_faces_of_a_repeated_face_taken_once(self, monkeypatch):
         # the 257 faces of e256 are one degenerate basepoint simplex, whose
