@@ -6,13 +6,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
-from operator import attrgetter, is_not
+from functools import lru_cache, partial, reduce
+from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
-from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _cells, _simplex, _smash_class,
-                         _tuple_complex, collapse, degenerate, dimension_census, face, joint_normal_form,
-                         nondegenerate_tuples, pair_census, shared_degeneracies, simplex_token, smash_census)
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _simplex, _smash_class, _tuple_complex,
+                         collapse, degenerate, dimension_census, face, joint_normal_form, nondegenerate_tuples,
+                         pair_census, shared_degeneracies, simplex_token, smash, smash_census)
 
 TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
@@ -31,46 +31,24 @@ def _check_factors(r: int) -> None:
 
 @lru_cache(maxsize=None)
 def smash_power(K: SSet, r: int) -> SSet:
-    """Left-associated smash power, assembled in one pass from the cells
-    _power_cells names; each power up to r is counted first, the one before
-    smashed with K, and the first over the cap refuses, as a fold of smash
-    would."""
+    """Left-associated smash power, the fold of smash: ((K ^ K) ^ ...) ^ K,
+    each power before r built and cached on the way. Each power up to r is
+    counted first, so the first over the cap refuses before any is built."""
     _check_factors(r)
     census = dimension_census(K, basepoint=True)
     reduce(lambda power, _: smash_census(power, census), range(r - 1), census)
-    if r == 1:
-        return K
-    return _tuple_complex("*", (K,), _power_cells(K, r), lambda xs: () if K.basepoint in map(_generator, xs) else xs)
-
-
-def _power_cells(K: SSet, r: int):
-    """(name, cell) for the jointly nondegenerate r-tuples of non-basepoint
-    simplices of K, named as smash_power_class names them. The cells come
-    in itertools.product order, so each prefix is named once, from the one
-    a letter shorter, and each simplex's token is made once per call."""
-    step = partial(_power_step, K.basepoint, token=cache(simplex_token))
-    classes, named = [], ()  # classes[j]: the class of the first j + 1 letters of named
-    for xs in _cells((K,), False, r):
-        j = next(itertools.compress(itertools.count(), map(is_not, xs, named)), 0)
-        del classes[j:]
-        for x in xs[j:-1]:
-            classes.append(step(classes[-1], x, len(classes) == 1) if classes else x)
-        named = xs
-        yield step(classes[-1], xs[-1], r == 2).generator, xs
-
-
-def _power_step(basepoint: str, out: Simplex, x: Simplex, first: bool, token=simplex_token) -> Simplex:
-    """out ^ x, over the basepoint at the first step (out a letter) and over "*" after."""
-    return _smash_class(basepoint if first else "*", basepoint, out, x, token)
+    return reduce(lambda P, _: smash(P, K), range(r - 1), K)
 
 
 def _power_class(basepoint: str, xs, known: dict) -> Simplex:
-    """Left-nested smash classes by _power_step, each step kept in known under its arguments."""
+    """Left-nested smash classes, out ^ x over the basepoint at the first step
+    (out a letter) and over "*" after, each step kept in known under its
+    arguments."""
     out, first = xs[0], True
     for x in xs[1:]:
         key = first, out, x
         if key not in known:
-            known[key] = _power_step(basepoint, out, x, first)
+            known[key] = _smash_class(basepoint if first else "*", basepoint, out, x)
         out, first = known[key], False
     return out
 

@@ -258,18 +258,6 @@ def face(K: SSet, x: Simplex, i: int) -> Simplex:
     return _simplex(f.generator, w, dim - 1)
 
 
-_OP_RE = re.compile(r"^([ds])(\d+)$")
-
-
-def apply_operator(s: Simplex, op: str, K: SSet) -> Simplex:
-    """Apply a single face or degeneracy operator, written "d2" or "s0"."""
-    m = _OP_RE.match(op)
-    if not m:
-        raise DomainError(f"operator must look like 'd0' or 's1', got {op!r}")
-    kind, i = m.group(1), int(m.group(2))
-    return face(K, s, i) if kind == "d" else degenerate(s, i)
-
-
 def in_degeneracy_image(K: SSet, x: Simplex, i: int) -> bool:
     """True iff x = s_i(y) for some y (then y = d_i(x)): i is in x's word."""
     return i in x.word
@@ -437,24 +425,30 @@ def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
     return SSet.build(basepoint, dims, faces)
 
 
-def _cells(factors, basepoints: bool, power: int = 1):
-    """The jointly nondegenerate tuples of simplices of the factors, repeated
-    power times, over basepoint generators too if basepoints."""
-    for m in range(power * sum(K.max_dim for K in factors) + 1):
+def _cells(factors, basepoints: bool):
+    """The jointly nondegenerate tuples of simplices, one from each factor,
+    over basepoint generators too if basepoints."""
+    for m in range(sum(K.max_dim for K in factors) + 1):
         choices = [[x for x in K.simplices(m) if basepoints or x.generator != K.basepoint] for K in factors]
-        yield from nondegenerate_tuples(choices, m, power)
+        yield from nondegenerate_tuples(choices, m)
+
+
+def _named_pairs(A: SSet, B: SSet, sep: str, basepoints: bool) -> list[tuple[str, tuple[Simplex, Simplex]]]:
+    """(name, (x, y)) for the jointly nondegenerate pairs, named "(x<sep>y)"."""
+    return [(f"({simplex_token(x)}{sep}{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), basepoints)]
 
 
 @functools.lru_cache(maxsize=None)
-def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
-    """Categorical product plus the generator-to-component-pair table."""
-    product_census(dimension_census(A, True), dimension_census(B, True))
-    named = [(f"({simplex_token(x)},{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), True)]
-    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), named, tuple), tuple(sorted(named))
-
-
 def product(A: SSet, B: SSet) -> SSet:
-    return product_with_pairs(A, B)[0]
+    """Categorical product, its cells the jointly nondegenerate pairs "(x,y)"."""
+    product_census(dimension_census(A, True), dimension_census(B, True))
+    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), _named_pairs(A, B, ",", True), tuple)
+
+
+def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
+    """product(A, B) plus the generator-to-component-pair table, named anew
+    on each call: the cache holds only the complex."""
+    return product(A, B), tuple(sorted(_named_pairs(A, B, ",", True)))
 
 
 def wedge(A: SSet, *more: SSet) -> SSet:
@@ -502,29 +496,26 @@ def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
 
 
 @functools.lru_cache(maxsize=None)
-def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
-    """Smash product plus component pairs for the surviving generators.
-
-    Built in one pass: the survivors are the product cells with no
-    basepoint core, named "(x^y)"; a face whose joint normal form has a
-    basepoint core lands on the basepoint "*".
-    """
-    smash_census(dimension_census(A, True), dimension_census(B, True))
-    named = [(f"({simplex_token(x)}^{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), False)]
-    S = _tuple_complex("*", (A, B), named,
-                       lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
-    return S, tuple(sorted(named))
-
-
 def smash(A: SSet, B: SSet) -> SSet:
-    return smash_with_pairs(A, B)[0]
+    """Smash product, built in one pass: the survivors are the product cells
+    with no basepoint core, named "(x^y)"; a face whose joint normal
+    form has a basepoint core lands on the basepoint "*"."""
+    smash_census(dimension_census(A, True), dimension_census(B, True))
+    return _tuple_complex("*", (A, B), _named_pairs(A, B, "^", False),
+                          lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
 
 
-def _smash_class(a: str, b: str, x: Simplex, y: Simplex, token=simplex_token) -> Simplex:
+def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
+    """smash(A, B) plus component pairs for the surviving generators, named
+    anew on each call: the cache holds only the complex."""
+    return smash(A, B), tuple(sorted(_named_pairs(A, B, "^", False)))
+
+
+def _smash_class(a: str, b: str, x: Simplex, y: Simplex) -> Simplex:
     word, (cx, cy) = ((), (x, y)) if set(x.word).isdisjoint(y.word) else joint_normal_form((x, y), x.dim)
     if cx.generator == a or cy.generator == b:
         return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
-    return _simplex(f"({token(cx)}^{token(cy)})", word, x.dim)
+    return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
 
 
 def smash_class(A: SSet, B: SSet, x: Simplex, y: Simplex) -> Simplex:
@@ -618,6 +609,9 @@ def smash_map(f: SMap, g: SMap) -> SMap:
 
 def _face_str(x: Simplex) -> str:
     return " ".join([f"s{i}" for i in x.word] + [x.generator])
+
+
+_OP_RE = re.compile(r"^([ds])(\d+)$")
 
 
 def _parse_face(text: str, dim: int, dims: dict[str, int]) -> Simplex:

@@ -19,7 +19,6 @@ from ehpcalc.simplicial import (
     SMap,
     SSet,
     Simplex,
-    apply_operator,
     build_sphere,
     collapse,
     compose,
@@ -133,15 +132,6 @@ class TestOperators:
                 for j in range(i, x.dim + 1):
                     # s_i s_j = s_{j+1} s_i for i <= j
                     assert degenerate(degenerate(x, j), i) == degenerate(degenerate(x, i), j + 1)
-
-    def test_apply_operator_strings(self):
-        e = S1.simplex("e1")
-        assert apply_operator(e, "s0", S1) == Simplex("e1", (0,), 2)
-        assert apply_operator(Simplex("e1", (0,), 2), "d1", S1) == e
-        with pytest.raises(DomainError):
-            apply_operator(e, "x3", S1)
-        with pytest.raises(DomainError):
-            apply_operator(e, "d2", S1)
 
     def test_degenerate_basepoint_faces(self):
         # d_i of the n-fold degenerate basepoint is the (n-1)-fold one
@@ -369,11 +359,11 @@ class TestHashedOnce:
     def test_equal_complexes_share_hash_and_cache_entry(self):
         A, B = self.fresh(), self.fresh()
         assert A is not B and A == B and hash(A) == hash(B)
-        before = product_with_pairs.cache_info()
+        before = product.cache_info()
         PA = product(A, A)
-        mid = product_with_pairs.cache_info()
+        mid = product.cache_info()
         PB = product(B, B)
-        after = product_with_pairs.cache_info()
+        after = product.cache_info()
         assert (mid.misses, mid.currsize) == (before.misses + 1, before.currsize + 1)
         assert (after.hits, after.misses, after.currsize) == (mid.hits + 1, mid.misses, mid.currsize)
         assert PA is PB
