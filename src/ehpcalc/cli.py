@@ -50,6 +50,7 @@ from .gw import (
 from .homology import chain_homology, direct_sum, homology_to_doc, james_chains, reduced_product, tensor
 from .james import JamesWord, james_hopf_letters, james_quotient, james_truncation, truncation_census
 from .kmw import (
+    _SHEAF_TAGS,
     SheafExpr,
     aone_tensor,
     contraction,
@@ -371,28 +372,20 @@ def _sheaf_int(cur) -> int:
 
 def _sheaf_atom(cur) -> SheafExpr:
     tok = cur.take()
+    tag = "Zero" if tok == "0" else tok  # no token spells Tensor, Contraction or a _mod tag
     if tok == "(":
         e = cur.nested(_sheaf_tensor)
         cur.take(")")
-    elif tok in ("KMW", "KM", "I"):
-        cur.take("(")
-        n = _sheaf_int(cur)
-        cur.take(")")
-        if tok == "KM" and cur.peek() == "/":
+    elif tag in _SHEAF_TAGS:
+        args = ()
+        if _SHEAF_TAGS[tag][0]:  # a graded name takes its degree, (n)
+            cur.take("(")
+            args = (_sheaf_int(cur),)
+            cur.take(")")
+        if cur.peek() == "/" and f"{tag}_mod" in _SHEAF_TAGS:
             cur.take()
-            e = SheafExpr("KM_mod", (n, _sheaf_int(cur)))
-        else:
-            e = SheafExpr(tok, (n,))
-    elif tok == "W":
-        e = SheafExpr("W", ())
-    elif tok == "Z":
-        if cur.peek() == "/":
-            cur.take()
-            e = SheafExpr("Z_mod", (_sheaf_int(cur),))
-        else:
-            e = SheafExpr("Z", ())
-    elif tok == "0":
-        e = SheafExpr("Zero", ())
+            tag, args = f"{tag}_mod", (*args, _sheaf_int(cur))
+        e = SheafExpr(tag, args)
     else:
         raise ExprParseError(f"unexpected token {tok!r}")
     while cur.peek().startswith("_{"):
@@ -488,8 +481,7 @@ def cmd_kmw(args) -> str:
 
 
 def cmd_tensor(args) -> str:
-    e = parse_sheaf_expr(args.expr)
-    token = sheaf_token(e)
+    token = sheaf_token(parse_sheaf_expr(args.expr))
     return _render(args, token, {"expr": args.expr, "result": token})
 
 

@@ -277,18 +277,31 @@ def kmw_equal(x: KMWSymbol, y: KMWSymbol):
 
 # ------------------------------------------------------------- sheaf tags
 
-_SHEAF_TAGS = {
-    "KMW": 1,
-    "KM": 1,
-    "KM_mod": 2,
-    "I": 1,
-    "W": 0,
-    "Z": 0,
-    "Z_mod": 1,
-    "Zero": 0,
-    "Tensor": 2,
-    "Contraction": 2,
+# argument kind -> (test, refusal); a bool is not an integer here
+_ARGUMENTS = {
+    "degree": (lambda v: type(v) is int, "a degree must be an integer"),
+    "modulus": (lambda v: type(v) is int and v >= 2, "a modulus must be an integer >= 2"),
+    "factor": (lambda v: isinstance(v, SheafExpr), "tensor arguments must be sheaf expressions"),
+    "inner": (lambda v: isinstance(v, SheafExpr), "contraction applies to a sheaf expression"),
+    "count": (lambda v: type(v) is int and v >= 0, "contraction count must be a non-negative integer"),
 }
+
+# tag -> (argument kinds, token format); the one place a tag is described
+_SHEAF_TAGS = {
+    "KMW": (("degree",), "KMW({0})"),
+    "KM": (("degree",), "KM({0})"),
+    "KM_mod": (("degree", "modulus"), "KM({0})/{1}"),
+    "I": (("degree",), "I({0})"),
+    "W": ((), "W"),
+    "Z": ((), "Z"),
+    "Z_mod": (("modulus",), "Z/{0}"),
+    "Zero": ((), "0"),
+    "Tensor": (("factor", "factor"), "{0} (x) {1}"),
+    "Contraction": (("inner", "count"), "{0}_{{-{1}}}"),
+}
+
+# graded tag -> (its contraction below degree 0, at degree 0); other leaves are stable
+_CONTRACTED = {"KMW": ("W", "KMW"), "KM": ("Zero", "Z"), "KM_mod": ("Zero", "Z_mod"), "I": ("W", "W")}
 
 
 @dataclass(frozen=True)
@@ -301,106 +314,56 @@ class SheafExpr:
     def __post_init__(self):
         if self.tag not in _SHEAF_TAGS:
             raise DomainError(f"unknown sheaf tag {self.tag!r}")
-        if len(self.args) != _SHEAF_TAGS[self.tag]:
-            raise DomainError(f"tag {self.tag} takes {_SHEAF_TAGS[self.tag]} arguments")
-        if self.tag in ("KM_mod", "Z_mod"):
-            modulus = self.args[-1]
-            if not isinstance(modulus, int) or modulus < 2:
-                raise DomainError("a modulus must be an integer >= 2")
-        if self.tag == "Tensor" and not all(isinstance(a, SheafExpr) for a in self.args):
-            raise DomainError("tensor arguments must be sheaf expressions")
-        if self.tag == "Contraction":
-            inner, j = self.args
-            if not isinstance(inner, SheafExpr):
-                raise DomainError("contraction applies to a sheaf expression")
-            if not isinstance(j, int) or j < 0:
-                raise DomainError("contraction count must be a non-negative integer")
+        kinds = _SHEAF_TAGS[self.tag][0]
+        if len(self.args) != len(kinds):
+            raise DomainError(f"tag {self.tag} takes {len(kinds)} arguments")
+        for kind, value in zip(kinds, self.args):
+            accepts, refusal = _ARGUMENTS[kind]
+            if not accepts(value):
+                raise DomainError(refusal)
 
     def __str__(self) -> str:
         return sheaf_token(self)
 
 
 def sheaf_token(e: SheafExpr) -> str:
-    tag = e.tag
-    if tag == "KMW":
-        return f"KMW({e.args[0]})"
-    if tag == "KM":
-        return f"KM({e.args[0]})"
-    if tag == "KM_mod":
-        return f"KM({e.args[0]})/{e.args[1]}"
-    if tag == "I":
-        return f"I({e.args[0]})"
-    if tag == "Z_mod":
-        return f"Z/{e.args[0]}"
-    if tag == "Tensor":
-        return f"{sheaf_token(e.args[0])} (x) {sheaf_token(e.args[1])}"
-    if tag == "Contraction":
-        return f"{sheaf_token(e.args[0])}_{{-{e.args[1]}}}"
-    return {"W": "W", "Z": "Z", "Zero": "0"}[tag]
-
-
-def _resolve(e: SheafExpr) -> SheafExpr:
-    if e.tag == "Tensor":
-        return aone_tensor(_resolve(e.args[0]), _resolve(e.args[1]))
-    if e.tag == "Contraction":
-        return contraction(_resolve(e.args[0]), e.args[1])
-    return e
+    return _SHEAF_TAGS[e.tag][1].format(*e.args)
 
 
 def contraction(e: SheafExpr, j: int) -> SheafExpr:
     """j-fold contraction by the closed table; nested tensor and
     contraction nodes are resolved first."""
-    if not isinstance(j, int) or j < 0:
-        raise DomainError("contraction count must be a non-negative integer")
-    e = _resolve(e)
-    if j == 0:
-        return e
-    tag = e.tag
-    if tag == "KMW":
-        n = e.args[0] - j
-        return SheafExpr("W") if n < 0 else SheafExpr("KMW", (n,))
-    if tag == "KM":
-        n = e.args[0] - j
-        if n < 0:
-            return SheafExpr("Zero")
-        return SheafExpr("Z") if n == 0 else SheafExpr("KM", (n,))
-    if tag == "KM_mod":
-        n = e.args[0] - j
-        if n < 0:
-            return SheafExpr("Zero")
-        if n == 0:
-            return SheafExpr("Z_mod", (e.args[1],))
-        return SheafExpr("KM_mod", (n, e.args[1]))
-    if tag == "I":
-        n = e.args[0] - j
-        return SheafExpr("W") if n <= 0 else SheafExpr("I", (n,))
-    # W, Z, Z_mod, Zero are stable under contraction
-    return e
+    return _resolve(SheafExpr("Contraction", (e, j)))
 
 
 def aone_tensor(e1: SheafExpr, e2: SheafExpr) -> SheafExpr:
-    """Tensor pairing by the closed table; pairs outside it are refused
-    rather than guessed."""
-    e1, e2 = _resolve(e1), _resolve(e2)
-    if e1.tag == "Z":
-        return e2
-    if e2.tag == "Z":
-        return e1
-    pair = {e1.tag, e2.tag}
-    if pair == {"KMW"}:
-        m, n = e1.args[0], e2.args[0]
-        if m >= 1 and n >= 1:
-            return SheafExpr("KMW", (m + n,))
-    elif pair == {"KMW", "KM_mod"}:
-        kmw, mod = (e1, e2) if e1.tag == "KMW" else (e2, e1)
-        m, (n, r) = kmw.args[0], mod.args
-        if m >= 1 and n >= 1:
-            return SheafExpr("KM_mod", (m + n, r))
-    elif pair == {"KM_mod"}:
-        (m, r1), (n, r2) = e1.args, e2.args
-        if r1 == r2 and m >= 1 and n >= 1:
-            return SheafExpr("KM_mod", (m + n, r1))
-    raise NoTensorRule(f"no rule for {sheaf_token(e1)} (x) {sheaf_token(e2)}")
+    """Tensor pairing by the closed table, with Z as the unit: for
+    m, n >= 1, KMW(m) (x) KMW(n) = KMW(m+n), or KM(m+n)/r when a factor
+    is KM(.)/r with one shared r. Other pairs are refused, not guessed."""
+    return _resolve(SheafExpr("Tensor", (e1, e2)))
+
+
+def _resolve(e: SheafExpr) -> SheafExpr:
+    if e.tag == "Contraction":
+        x, j = _resolve(e.args[0]), e.args[1]
+        if j == 0 or x.tag not in _CONTRACTED:
+            return x
+        n = x.args[0] - j
+        below, at_zero = _CONTRACTED[x.tag]
+        tag = below if n < 0 else at_zero if n == 0 else x.tag
+        # the result keeps the trailing arguments it takes: modulus, graded degree
+        args = (n, *x.args[1:])
+        return SheafExpr(tag, args[len(args) - len(_SHEAF_TAGS[tag][0]):])
+    if e.tag == "Tensor":
+        x, y = _resolve(e.args[0]), _resolve(e.args[1])
+        if "Z" in (x.tag, y.tag):
+            return y if x.tag == "Z" else x
+        if all(f.tag in ("KMW", "KM_mod") and f.args[0] >= 1 for f in (x, y)):
+            moduli = {f.args[1] for f in (x, y) if f.tag == "KM_mod"}
+            if len(moduli) <= 1:
+                return SheafExpr("KM_mod" if moduli else "KMW", (x.args[0] + y.args[0], *moduli))
+        raise NoTensorRule(f"no rule for {sheaf_token(x)} (x) {sheaf_token(y)}")
+    return e
 
 
 def rational_decomposition(n: int, field: Field) -> dict:

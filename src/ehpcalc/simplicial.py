@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapExceeded, DomainError, ExprParseError
+from .gw import DIGITS_CAP
 
 # Largest sphere dimension built: the face table of the one generator of
 # S^n holds n + 1 words of length n - 1, and building and checking it takes
@@ -611,7 +612,7 @@ def _face_str(x: Simplex) -> str:
     return " ".join([f"s{i}" for i in x.word] + [x.generator])
 
 
-_OP_RE = re.compile(r"^([ds])(\d+)$")
+_OP_RE = re.compile(r"^s(\d+)$")
 
 
 def _parse_face(text: str, dim: int, dims: dict[str, int]) -> Simplex:
@@ -622,9 +623,11 @@ def _parse_face(text: str, dim: int, dims: dict[str, int]) -> Simplex:
     word = []
     for t in tokens[:-1]:
         m = _OP_RE.match(t)
-        if not m or m.group(1) != "s":
+        if not m:
             raise ExprParseError(f"bad degeneracy token {t!r} in face {text!r}")
-        word.append(int(m.group(2)))
+        if len(m.group(1)) > DIGITS_CAP:
+            raise ExprParseError(f"degeneracy index: {len(m.group(1))} digits exceed the cap of {DIGITS_CAP}")
+        word.append(int(m.group(1)))
     if name not in dims:
         raise ExprParseError(f"face {text!r} references unknown generator {name!r}")
     return Simplex(name, tuple(word), dim)
@@ -646,10 +649,12 @@ def sset_from_doc(doc: dict) -> SSet:
         basepoint = doc["basepoint"]
         entries = doc["generators"]
         dims = {e["name"]: e["dim"] for e in entries}
-        faces = {
-            e["name"]: tuple(_parse_face(s, e["dim"] - 1, dims) for s in e["faces"])
-            for e in entries if e["dim"] > 0
-        }
+        faces = {}
+        for e in entries:
+            if e["dim"] > 0:
+                if not (isinstance(e["faces"], list) and all(isinstance(s, str) for s in e["faces"])):
+                    raise ExprParseError(f"faces of {e['name']!r} must be a list of strings")
+                faces[e["name"]] = tuple(_parse_face(s, e["dim"] - 1, dims) for s in e["faces"])
     except (KeyError, TypeError) as exc:
         raise ExprParseError(f"malformed simplicial-set document: {exc}") from exc
     return SSet.build(basepoint, dims, faces)

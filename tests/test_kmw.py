@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehpcalc.cli import parse_sheaf_expr
 from ehpcalc.errors import CapExceeded, DomainError, NoTensorRule, NormalFormUnavailable
 from ehpcalc.gw import (
     finite_odd,
@@ -22,6 +23,7 @@ from ehpcalc.gw import (
     square_class,
 )
 from ehpcalc.kmw import (
+    _SHEAF_TAGS,
     KMWSymbol,
     SheafExpr,
     aone_tensor,
@@ -456,6 +458,33 @@ class TestSheafTags:
             SheafExpr("Tensor", (SheafExpr("Z"), 3))
         with pytest.raises(DomainError):
             SheafExpr("Contraction", (SheafExpr("Z"), -1))
+        # degrees are integers, and a bool is not one
+        for degree in ("a", 1.5, True, Fraction(2)):
+            with pytest.raises(DomainError, match="^a degree must be an integer$"):
+                SheafExpr("KMW", (degree,))
+            with pytest.raises(DomainError, match="^a degree must be an integer$"):
+                SheafExpr("KM_mod", (degree, 8))
+        with pytest.raises(DomainError, match="^a degree must be an integer$"):
+            aone_tensor(SheafExpr("KMW", (1.5,)), SheafExpr("KMW", (2,)))
+        with pytest.raises(DomainError, match="^a degree must be an integer$"):
+            contraction(SheafExpr("KMW", (True,)), 1)
+        with pytest.raises(DomainError, match="^contraction count must be a non-negative integer$"):
+            contraction(SheafExpr("KMW", (2,)), True)
+        with pytest.raises(DomainError, match="^a modulus must be an integer >= 2$"):
+            SheafExpr("Z_mod", (True,))
+        # negative degrees stay allowed
+        assert contraction(SheafExpr("KMW", (-2,)), 1) == SheafExpr("W")
+        assert sheaf_token(SheafExpr("I", (-1,))) == "I(-1)"
+
+    def test_tokens_parse_back(self):
+        # the token table and the CLI grammar agree on every leaf tag
+        values = {"degree": range(-2, 6), "modulus": (2, 8, 24)}
+        leaves = [tag for tag, (kinds, _) in _SHEAF_TAGS.items() if all(k in values for k in kinds)]
+        assert sorted(leaves) == ["I", "KM", "KMW", "KM_mod", "W", "Z", "Z_mod", "Zero"]
+        for tag in leaves:
+            for args in itertools.product(*(values[k] for k in _SHEAF_TAGS[tag][0])):
+                e = SheafExpr(tag, args)
+                assert parse_sheaf_expr(sheaf_token(e)) == e
 
     def test_contraction_table(self):
         assert contraction(SheafExpr("KMW", (5,)), 6) == SheafExpr("W")

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehpcalc import simplicial
-from ehpcalc.errors import CapExceeded, DomainError
+from ehpcalc.errors import CapExceeded, DomainError, ExprParseError
 from ehpcalc.james import james_truncation
 from ehpcalc.simplicial import (
     SMap,
@@ -412,6 +413,23 @@ class TestSerialization:
         faces = {"c": tuple(Simplex("*", tuple(range(11, -1, -1)), 12) for _ in range(14))}
         K = SSet.build("*", dims, faces)
         assert sset_loads(sset_dumps(K)) == K
+
+    @pytest.mark.parametrize("faces, text", [
+        (["d0 *", "*"], "bad degeneracy token 'd0' in face 'd0 *'"),
+        (["x0 *", "*"], "bad degeneracy token 'x0' in face 'x0 *'"),
+        (["s" + "9" * 5000 + " *", "*"], "degeneracy index: 5000 digits exceed the cap of 4300"),
+        ([3, "*"], "faces of 'e1' must be a list of strings"),
+        ("**", "faces of 'e1' must be a list of strings"),
+        (None, "faces of 'e1' must be a list of strings"),
+        (["", "*"], "empty face entry"),
+        (["s0 y", "*"], "face 's0 y' references unknown generator 'y'"),
+    ])
+    def test_malformed_faces_are_parse_errors(self, faces, text):
+        doc = {"basepoint": "*", "generators": [{"name": "*", "dim": 0},
+                                                {"name": "e1", "dim": 1, "faces": faces}]}
+        with pytest.raises(ExprParseError) as info:
+            sset_loads(json.dumps(doc))
+        assert str(info.value) == text
 
 
 class TestSimplex:
