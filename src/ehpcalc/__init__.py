@@ -31,7 +31,6 @@ from .simplicial import (
     wedge,
 )
 from .homology import (
-    ChainComplex,
     HomologyGroup,
     IntegerMatrix,
     euler_characteristic,

@@ -9,7 +9,7 @@ smash and a product from those of the parts (Eilenberg-Zilber, so the
 Kunneth Tor terms come through), with no complex built. james_chains
 gives those of J_n K and of its quotient K^n as sums of tensor powers of
 K's (the James splitting, I. M. James, Ann. of Math. 62, 1955).
-chain_homology checks d o d = 0 and reads the groups off it.
+chain_homology checks shapes and d o d = 0, then reads the groups off.
 
 One sparse elimination, _smith, serves both homology and dense matrices:
 on sparse columns it takes the +-1 pivots first (Kaczynski-Mrozek-
@@ -69,9 +69,6 @@ class IntegerMatrix:
         )
         return IntegerMatrix(self.rows, other.cols, out)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -111,7 +108,12 @@ Columns = list[dict[int, int]]
 
 
 def _check_composites(columns: list[Columns]) -> None:
-    """Raise unless d_{n-1} d_n = 0, by sparse products over nonzero entries."""
+    """Raise unless each column's rows are cells one degree down (a degree-0
+    column has none) and d_{n-1} d_n = 0, by sparse products over nonzero entries."""
+    for n, cols in enumerate(columns):
+        rows = range(len(columns[n - 1]) if n else 0)
+        if not all(r in rows for col in cols for r in col):
+            raise DomainError(f"boundary shape mismatch in degree {n}")
     for n in range(2, len(columns)):
         below = columns[n - 1]
         for col in columns[n]:
@@ -123,41 +125,9 @@ def _check_composites(columns: list[Columns]) -> None:
                 raise DomainError(f"boundary composite nonzero in degree {n}")
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Per-degree generator lists with integer boundary matrices."""
-
-    generators: tuple[tuple[str, ...], ...]
-    boundaries: tuple[IntegerMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.boundaries) != max(len(self.generators) - 1, 0):
-            raise DomainError("need one boundary matrix per positive degree")
-        for n, b in enumerate(self.boundaries, start=1):
-            if b.rows != len(self.generators[n - 1]) or b.cols != len(self.generators[n]):
-                raise DomainError(f"boundary shape mismatch in degree {n}")
-        columns = [[{}] * len(self.generators[0])] if self.generators else []
-        for b in self.boundaries:
-            dense = zip(*b.entries) if b.rows else [()] * b.cols
-            columns.append([{i: v for i, v in enumerate(col) if v} for col in dense])
-        _check_composites(columns)
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.generators) - 1
-
-    def boundary(self, n: int) -> IntegerMatrix:
-        """Matrix of the boundary map out of degree n (zero off the range)."""
-        if 1 <= n <= self.top_degree:
-            return self.boundaries[n - 1]
-        rows = len(self.generators[n - 1]) if 0 <= n - 1 <= self.top_degree else 0
-        cols = len(self.generators[n]) if 0 <= n <= self.top_degree else 0
-        return IntegerMatrix.zero(rows, cols)
-
-
-def _boundary_columns(K: SSet, reduced: bool) -> tuple[tuple[tuple[str, ...], ...], list[Columns]]:
-    """Generator names per degree and the sparse boundary columns out of each
-    degree; the reduced variant drops the basepoint generator in degree 0."""
+def normalized_chain_complex(K: SSet, reduced: bool = False) -> tuple[tuple[tuple[str, ...], ...], list[Columns]]:
+    """Generator names per degree and the chain value on the nondegenerate
+    generators, in that order; the reduced variant drops the basepoint."""
     gens: list[tuple[str, ...]] = []
     for d in range(K.max_dim + 1):
         names = list(K.generators(d))
@@ -182,20 +152,6 @@ def _boundary_columns(K: SSet, reduced: bool) -> tuple[tuple[tuple[str, ...], ..
             cols.append(col)
         columns.append(cols)
     return tuple(gens), columns
-
-
-def normalized_chain_complex(K: SSet, reduced: bool = False) -> ChainComplex:
-    """Chains on the nondegenerate generators; the reduced variant drops the
-    basepoint generator in degree 0."""
-    gens, columns = _boundary_columns(K, reduced)
-    boundaries = []
-    for n in range(1, len(gens)):
-        mat = [[0] * len(gens[n]) for _ in gens[n - 1]]
-        for j, col in enumerate(columns[n]):
-            for r, v in col.items():
-                mat[r][j] = v
-        boundaries.append(IntegerMatrix.from_rows(mat, len(gens[n])))
-    return ChainComplex(gens, tuple(boundaries))
 
 
 def _add(vecs: dict[int, dict[int, int]], dst: int, src: int, a: int) -> None:
@@ -376,7 +332,7 @@ def chain_homology(columns: list[Columns]) -> dict[int, HomologyGroup]:
 
 def reduced_chains(K: SSet) -> list[Columns]:
     """The reduced normalized chains of K as a chain value."""
-    return _boundary_columns(K, reduced=True)[1]
+    return normalized_chain_complex(K, reduced=True)[1]
 
 
 def reduced_homology(K: SSet) -> dict[int, HomologyGroup]:

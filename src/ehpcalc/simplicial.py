@@ -321,6 +321,8 @@ def simplex_token(x: Simplex) -> str:
 
 def check_sphere_dim(n: int) -> None:
     """Refuse a sphere dimension that is negative or past SPHERE_DIM_CAP."""
+    if type(n) is not int:  # bool is an int subclass
+        raise DomainError(f"sphere dimension must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"sphere dimension must be nonnegative, got {n}")
     if n > SPHERE_DIM_CAP:
@@ -644,11 +646,18 @@ def sset_to_doc(K: SSet) -> dict:
     return {"basepoint": K.basepoint, "generators": gens}
 
 
+def _typed(value, kind: type, field: str):
+    if type(value) is not kind:  # bool is an int subclass
+        raise ExprParseError(f"{field} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def sset_from_doc(doc: dict) -> SSet:
     try:
-        basepoint = doc["basepoint"]
+        basepoint = _typed(doc["basepoint"], str, "basepoint")
         entries = doc["generators"]
-        dims = {e["name"]: e["dim"] for e in entries}
+        dims = {_typed(e["name"], str, "generator name"): _typed(e["dim"], int, f"dim of {e['name']!r}")
+                for e in entries}
         faces = {}
         for e in entries:
             if e["dim"] > 0:

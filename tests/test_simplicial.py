@@ -165,6 +165,12 @@ class TestConstructors:
         with pytest.raises(CapExceeded, match=f"sphere: dimension 3000 exceeds the cap of {simplicial.SPHERE_DIM_CAP}"):
             build_sphere(3000)
 
+    @pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2", None])
+    def test_sphere_dimension_must_be_an_int(self, n):
+        with pytest.raises(DomainError) as info:
+            build_sphere(n)
+        assert str(info.value) == f"sphere dimension must be an integer, got {n!r}"
+
     def test_smash_size_counts_without_building(self):
         def dims(K):
             return [d for n, d in K.gens if n != K.basepoint]
@@ -427,6 +433,25 @@ class TestSerialization:
     def test_malformed_faces_are_parse_errors(self, faces, text):
         doc = {"basepoint": "*", "generators": [{"name": "*", "dim": 0},
                                                 {"name": "e1", "dim": 1, "faces": faces}]}
+        with pytest.raises(ExprParseError) as info:
+            sset_loads(json.dumps(doc))
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("basepoint", ["*"], "basepoint must be of type str, got ['*']"),
+        ("basepoint", 0, "basepoint must be of type str, got 0"),
+        ("name", 5, "generator name must be of type str, got 5"),
+        ("name", ["e1"], "generator name must be of type str, got ['e1']"),
+        ("dim", True, "dim of 'e1' must be of type int, got True"),
+        ("dim", 1.5, "dim of 'e1' must be of type int, got 1.5"),
+        ("dim", "1", "dim of 'e1' must be of type int, got '1'"),
+    ])
+    def test_malformed_fields_are_parse_errors(self, field, value, text):
+        doc = json.loads(sset_dumps(S1))
+        if field == "basepoint":
+            doc["basepoint"] = value
+        else:
+            doc["generators"][1][field] = value
         with pytest.raises(ExprParseError) as info:
             sset_loads(json.dumps(doc))
         assert str(info.value) == text
