@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import gc
 import itertools
 import json
 import math
@@ -92,6 +93,12 @@ def _simplex(generator: str, word: tuple[int, ...], dim: int) -> Simplex:
     return tuple.__new__(Simplex, (generator, word, dim))
 
 
+def _all_of_type(values, kind: type) -> bool:
+    """True iff every value is of exactly type kind (so a bool is not an
+    int), checked in C."""
+    return set(map(type, values)) <= {kind}
+
+
 # no whitespace, and not a degeneracy operator such as "s0"
 _NAME_RE = re.compile(r"(?!s\d+\Z)\S+$")
 
@@ -126,8 +133,17 @@ class SSet:
 
     @staticmethod
     def build(basepoint: str, dims: dict[str, int], faces: dict[str, tuple[Simplex, ...]]) -> "SSet":
+        """The complex on the given generators and faces, every face and
+        identity checked. The types of names and dimensions are checked, in
+        C, before the per-generator checks read them, and those of face
+        entries before any face is read."""
         if basepoint not in dims or dims[basepoint] != 0:
             raise DomainError(f"basepoint {basepoint!r} must be a dimension-0 generator")
+        if not _all_of_type(dims, str):
+            raise DomainError(f"bad generator name {next(n for n in dims if type(n) is not str)!r}")
+        if not _all_of_type(dims.values(), int):
+            name, d = next((n, d) for n, d in dims.items() if type(d) is not int)
+            raise DomainError(f"dimension of {name!r} must be of type int, got {d!r}")
         for name, d in dims.items():
             if not _NAME_RE.match(name):
                 raise DomainError(f"bad generator name {name!r}")
@@ -139,6 +155,9 @@ class SSet:
                 raise DomainError(f"generator {name!r} needs exactly {d + 1} faces")
         gens = tuple(sorted(dims.items(), key=operator.itemgetter(1, 0)))
         table = tuple((n, tuple(faces[n])) for n, d in gens if d > 0)
+        if not _all_of_type(itertools.chain.from_iterable(map(operator.itemgetter(1), table)), Simplex):
+            name, i, f = next((n, i, f) for n, row in table for i, f in enumerate(row) if type(f) is not Simplex)
+            raise DomainError(f"face {i} of {name!r} is not a Simplex: {f!r}")
         K = SSet(basepoint, gens, table)
         K._validate()
         return K
@@ -397,6 +416,27 @@ def smash_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
     return _BASEPOINT + pairs
 
 
+def _collector_paused(build):
+    """build with the cyclic collector paused and then left as it was.
+    Everything a build makes outlives it, so each collector pass during the
+    build would only walk those objects again; lazy arguments are consumed
+    inside the pause too. A collector that was on takes one pass over its
+    youngest generation when the build ends: the pass it owes for what the
+    build made, paid there and not by whatever allocates next."""
+    @functools.wraps(build)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args)
+        finally:
+            if enabled:
+                gc.enable()
+                gc.collect(0)
+    return paused
+
+
+@_collector_paused
 def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
     """The complex on the given (name, cell) pairs, each cell a tuple of
     m-simplices with entry j in factors[j % len(factors)]. Each cell is
@@ -424,7 +464,7 @@ def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
     for cell, name in names.items():
         dims[name] = dim = cell[0].dim
         if dim:
-            faces[name] = tuple(map(face_class, zip(*[f(x) for f, x in zip(itertools.cycle(faces_of), cell)])))
+            faces[name] = tuple(map(face_class, zip(*map(operator.call, itertools.cycle(faces_of), cell))))
     return SSet.build(basepoint, dims, faces)
 
 
@@ -436,9 +476,11 @@ def _cells(factors, basepoints: bool):
         yield from nondegenerate_tuples(choices, m)
 
 
-def _named_pairs(A: SSet, B: SSet, sep: str, basepoints: bool) -> list[tuple[str, tuple[Simplex, Simplex]]]:
-    """(name, (x, y)) for the jointly nondegenerate pairs, named "(x<sep>y)"."""
-    return [(f"({simplex_token(x)}{sep}{simplex_token(y)})", (x, y)) for x, y in _cells((A, B), basepoints)]
+def _named_pairs(A: SSet, B: SSet, sep: str, basepoints: bool):
+    """(name, (x, y)) for the jointly nondegenerate pairs, named "(x<sep>y)",
+    lazily; an entry recurs in many pairs, so each entry's token is taken once."""
+    token = functools.cache(simplex_token)
+    return ((f"({token(x)}{sep}{token(y)})", (x, y)) for x, y in _cells((A, B), basepoints))
 
 
 @functools.lru_cache(maxsize=None)

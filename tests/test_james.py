@@ -433,6 +433,34 @@ SMASH_POWER_DIGESTS = [
 ]
 
 
+# The other complexes _tuple_complex builds: SHA-256 of sset_dumps, recorded
+# before the build paused the collector and named each entry once
+BUILD_DIGESTS = {
+    "product(S1, S1)": (lambda: product(S1, S1),
+                        "f40c0dff9ebdeb77bcfc14c7b476363e1eb00e791488d2b0a32fa24839585bf2"),
+    "product(S2, S1)": (lambda: product(S2, S1),
+                        "2e33977d19f52f002f93103c1270051c6b25668ad0c9f82ada885f7ef7efcd42"),
+    "product(S64, S1)": (lambda: product(build_sphere(64), S1),
+                         "07ad283c33c213452becb2cb125b56053e78bd8494a5871d65416d2145c189ff"),
+    "J(S1, 4)": (lambda: james_truncation(S1, 4),
+                 "a3c8411f48d4b62ed09c62dd1b9e8ec916eec19a0c23c8c941673e10fafd5294"),
+    "J(S0, 50)": (lambda: james_truncation(S0, 50),
+                  "8fe9128d0730c6e27a982d4828931d42a9c6ca3813901a30d2d9bb519f1988ea"),
+    "J(S1 v S1, 3)": (lambda: james_truncation(W, 3),
+                      "eef4e8fafd7c350be594f2e452dbdc8f2f54318fa66ac7131027514bec8c9ac7"),
+    "target of james_hopf_map(S1, 4, 2)": (lambda: james_hopf_map(S1, 4, 2).target,
+                                           "8b5c2b3f63f7cfed604766c8a9bcacafcb56a32ac5333cf500a1be654075ad06"),
+    "smash_power(wedge of 8 circles, 3)": (lambda: smash_power(wedge(*[S1] * 8), 3),
+                                           "26689e210e52409eb969e2393a283bf08d04e1122e54e65bb7a42f143d38e60d"),
+}
+
+
+@pytest.mark.parametrize("case", BUILD_DIGESTS)
+def test_tuple_complexes_dump_as_recorded(case):
+    build, want = BUILD_DIGESTS[case]
+    assert hashlib.sha256(sset_dumps(build()).encode()).hexdigest() == want
+
+
 class TestSmashPowerBudget:
     def test_counted_before_built(self):
         assert smash_power(S1, 6).n_generators == 4684

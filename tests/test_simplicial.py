@@ -6,6 +6,7 @@ of products and smashes or the l./r. prefixes of wedges.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import re
@@ -560,3 +561,65 @@ class TestValidation:
         monkeypatch.setattr(simplicial, "face", counting)
         build_sphere(256)
         assert len(calls) == 256
+
+
+PT = Simplex("*", (), 0)
+
+
+class TestBuildInputTypes:
+    # badly typed names, dimensions and face entries are refused before any
+    # other check reads them
+    @pytest.mark.parametrize("dims, faces, text", [
+        ({5: 0}, {}, "bad generator name 5"),
+        ({"e": True}, {"e": (PT, PT)}, "dimension of 'e' must be of type int, got True"),
+        ({"e": 1.0}, {"e": (PT, PT)}, "dimension of 'e' must be of type int, got 1.0"),
+        ({"e": 1}, {"e": ("*", "*")}, "face 0 of 'e' is not a Simplex: '*'"),
+        ({"e": 1}, {"e": (PT, ("*", (), 0))}, "face 1 of 'e' is not a Simplex: ('*', (), 0)"),
+    ])
+    def test_refused(self, dims, faces, text):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            SSet.build("*", {"*": 0} | dims, faces)
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("build", [lambda K: smash(K, K), lambda K: product(K, K),
+                                       lambda K: james_truncation(K, 3)], ids=["smash", "product", "james_truncation"])
+    def test_paused_inside_and_left_as_it_was(self, collector, build, monkeypatch, request):
+        # a circle no other test builds, so no cache answers the build
+        name = f"pause-{request.node.callspec.id}"
+        K = SSet.build("*", {"*": 0, name: 1}, {name: (PT, PT)})
+        inside = []
+        monkeypatch.setattr(simplicial, "face", lambda *args: inside.append(gc.isenabled()) or face(*args))
+        build(K)
+        assert inside and not any(inside)
+        assert gc.isenabled() is collector
+
+    def test_left_as_it_was_when_a_build_raises(self, collector):
+        e = S1.simplex("e1")
+        with pytest.raises(DomainError, match="is not a cell"):
+            simplicial._tuple_complex("(*,*)", (S1, S1), [("(e1,e1)", (e, e))], tuple)
+        assert gc.isenabled() is collector
+
+    def test_each_entry_named_once_inside_the_pause(self, monkeypatch):
+        calls, inside = [], []
+
+        def counting(x):
+            calls.append(x)
+            inside.append(gc.isenabled())
+            return simplex_token(x)
+
+        monkeypatch.setattr(simplicial, "simplex_token", counting)
+        pairs = list(simplicial._named_pairs(S2, wedge(S1, S1), ",", True))
+        entries = {x for _, xy in pairs for x in xy}
+        assert len(calls) == len(entries) < 2 * len(pairs) and set(calls) == entries
+        # the names are taken lazily, while the build holds the collector
+        inside.clear()
+        product(S2, SSet.build("*", {"*": 0, "pause-named": 1}, {"pause-named": (PT, PT)}))
+        assert inside and not any(inside)

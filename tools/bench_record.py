@@ -8,10 +8,14 @@ For each of PAIRS pairs and each workload, runs
 
 once in the parent checkout and once in this one, alternating which side
 goes first, and keeps the last line of each run's stdout (one JSON object).
-The run length is perfbench's own. The output file holds every run, the
-medians of each end-to-end metric per workload and side, and the machine
-the runs were made on. Standard library only; perfbench itself is run as
-it is.
+From each run's stderr it keeps the lines "measured before scaling: ..."
+and "pace: kernel median ...", and reads the first into the run's
+"unscaled" metrics: a scaled time moves with the pace kernel, so a change
+in a scaled metric is read against the unscaled one. The run length is
+perfbench's own. The output file holds every run, the medians of each
+end-to-end metric per workload and side, scaled ("medians") and unscaled
+("unscaled_medians"), and the machine the runs were made on. Standard
+library only; perfbench itself is run as it is.
 """
 from __future__ import annotations
 
@@ -27,17 +31,25 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("homology_cold", "library_session", "forms_stream")
 # ten pairs: the fewest that can back a claimed gain
 PAIRS = 10
+MEASURED, PACE = "measured before scaling: ", "pace: kernel median "
 
 
 def run_once(root: str, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    run = json.loads(done.stdout.strip().splitlines()[-1])
+    run["stderr"] = [line for line in done.stderr.splitlines() if line.startswith((MEASURED, PACE))]
+    measured = next(line for line in run["stderr"] if line.startswith(MEASURED))
+    run["unscaled"] = {}
+    for part in measured[len(MEASURED):].split(", "):  # "wall_s 0.3021 s"
+        name, value, unit = part.split(" ")
+        run["unscaled"][name] = {"value": float(value), "unit": unit}
+    return run
 
 
-def medians(runs: list[dict]) -> dict:
-    names = runs[0]["metrics"]
-    return {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in names}
+def medians(runs: list[dict], key: str = "metrics") -> dict:
+    names = runs[0][key]
+    return {k: statistics.median(r[key][k]["value"] for r in runs) for k in names}
 
 
 def main(argv=None) -> int:
@@ -61,6 +73,8 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "pairs": PAIRS,
         "medians": {w: {side: medians(r) for side, r in by_side.items()} for w, by_side in runs.items()},
+        "unscaled_medians": {w: {side: medians(r, "unscaled") for side, r in by_side.items()}
+                             for w, by_side in runs.items()},
         "runs": runs,
     }
     with open(args.out, "w") as fh:
