@@ -527,16 +527,13 @@ def cmd_degree(args) -> str:
     parts = [part.strip() for part in args.at.split(",")]
     if len(parts) != 2:
         raise ExprParseError("the value is two comma-separated rationals")
-    for part in parts:
-        _fraction(part, "coordinate")
-    value = tuple(parts)
-    ids = args.map
-    deg = degree_by_signed_preimages(ids[0] if len(ids) == 1 else ids, value)
-    doc = {"maps": ids, "value": parts, "degree": deg}
-    if len(ids) == 1:
+    value = tuple(_fraction(part, "coordinate") for part in parts)
+    deg = degree_by_signed_preimages(args.map, value)
+    doc = {"maps": args.map, "value": parts, "degree": deg}
+    if len(args.map) == 1:
         doc["preimages"] = [
             {"point": [str(u), str(t)], "sign": s}
-            for (u, t), s in signed_preimages(ids[0], value)
+            for (u, t), s in signed_preimages(args.map[0], value)
         ]
     return _render(args, str(deg), doc)
 

@@ -8,7 +8,7 @@ self-maps of the square, and a small table of recorded values.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotRegularValue
+from .errors import CapExceeded, DomainError, NotRegularValue
 from .gw import (
     Field,
     GWElement,
@@ -189,50 +189,22 @@ def ehp_sequence_report(sphere: SphereBidegree, mode: str) -> EHPReport:
     raise DomainError("mode must be low_degree or full_range")
 
 
-def _whitehead_pieces():
-    # (u,t) -> (u, 1-2t(1-u)) below the seam, (1-2(1-t)(1-u), u) above it;
-    # both Jacobians come out to -2(1-u)
-    half, one = Fraction(1, 2), Fraction(1)
-
-    def solve_lower(x, y):
-        return [(x, (1 - y) / (2 * (1 - x)))]
-
-    def solve_upper(x, y):
-        return [(y, 1 - (1 - x) / (2 * (1 - y)))]
-
-    def jac(u, t):
-        return -2 * (1 - u)
-
-    return [(Fraction(0), half, solve_lower, jac), (half, one, solve_upper, jac)]
-
-
-def _identity_pieces():
-    return [
-        (
-            Fraction(0),
-            Fraction(1),
-            lambda x, y: [(x, y)],
-            lambda u, t: Fraction(1),
-        )
-    ]
-
-
-def _flip_pieces():
-    return [
-        (
-            Fraction(0),
-            Fraction(1),
-            lambda x, y: [(x, 1 - y)],
-            lambda u, t: Fraction(-1),
-        )
-    ]
-
-
+# map id -> pieces (t_lo, t_hi, solve, jacobian). A piece covers t_lo <= t <=
+# t_hi; solve gives its one point over a value (x, y), jacobian the
+# determinant there. The Whitehead map sends (u,t) to (u, 1-2t(1-u)) below
+# the seam and to (1-2(1-t)(1-u), u) above it; both Jacobians are -2(1-u).
+_HALF = Fraction(1, 2)
 _SQUARE_MAPS = {
-    "whitehead_exchange_homotopy": _whitehead_pieces,
-    "identity": _identity_pieces,
-    "coordinate_flip": _flip_pieces,
+    "whitehead_exchange_homotopy": (
+        (0, _HALF, lambda x, y: (x, (1 - y) / (2 * (1 - x))), lambda u, t: -2 * (1 - u)),
+        (_HALF, 1, lambda x, y: (y, 1 - (1 - x) / (2 * (1 - y))), lambda u, t: -2 * (1 - u)),
+    ),
+    "identity": ((0, 1, lambda x, y: (x, y), lambda u, t: 1),),
+    "coordinate_flip": ((0, 1, lambda x, y: (x, 1 - y), lambda u, t: -1),),
 }
+# Each Whitehead map adds about ten bits to a preimage's coordinates, so the
+# work of a composite grows with the square of its length.
+DEGREE_MAPS_CAP = 1000
 
 
 def _as_point(value):
@@ -257,18 +229,18 @@ def signed_preimages(map_id: str, value) -> list:
     if not (0 < x < 1 and 0 < y < 1):
         raise NotRegularValue("value must be interior to the square")
     found = []
-    for t_lo, t_hi, solve, jacobian in _SQUARE_MAPS[map_id]():
-        for u, t in solve(x, y):
-            if not (0 < u < 1 and 0 < t < 1):
-                continue  # basepoint-identified under the edge collapse
-            if t == t_lo or t == t_hi:
-                raise NotRegularValue("a preimage lies on a piece boundary")
-            if not t_lo < t < t_hi:
-                continue  # governed by the other piece
-            jac = jacobian(u, t)
-            if jac == 0:
-                raise NotRegularValue("zero Jacobian at a preimage")
-            found.append(((u, t), 1 if jac > 0 else -1))
+    for t_lo, t_hi, solve, jacobian in _SQUARE_MAPS[map_id]:
+        u, t = solve(x, y)
+        if not (0 < u < 1 and 0 < t < 1):
+            continue  # basepoint-identified under the edge collapse
+        if t == t_lo or t == t_hi:
+            raise NotRegularValue("a preimage lies on a piece boundary")
+        if not t_lo < t < t_hi:
+            continue  # governed by the other piece
+        jac = jacobian(u, t)
+        if jac == 0:
+            raise NotRegularValue("zero Jacobian at a preimage")
+        found.append(((u, t), 1 if jac > 0 else -1))
     return sorted(found)
 
 
@@ -281,6 +253,8 @@ def degree_by_signed_preimages(map_id, value) -> int:
     ids = [map_id] if isinstance(map_id, str) else list(map_id)
     if not ids:
         raise DomainError("need at least one map id")
+    if len(ids) > DEGREE_MAPS_CAP:
+        raise CapExceeded(f"degree: {len(ids)} maps exceed the cap of {DEGREE_MAPS_CAP}")
     fibers = [(_as_point(value), 1)]
     for mid in ids:
         fibers = [
@@ -292,24 +266,13 @@ def degree_by_signed_preimages(map_id, value) -> int:
 
 
 _RECORDED_HYPOTHESES = "characteristic 0, containing a quadratically closed subfield"
+_RECORDED_VALUES = (("pi_{4+5a}(S^{3+3a})", "Z/24"), ("pi_{4+6a}(S^{3+3a})", "0"))
 
 
 def known_results_table() -> list:
     """Recorded homotopy sheaf values; entries are data, never computed."""
-    return [
-        {
-            "key": "pi_{4+5a}(S^{3+3a})",
-            "value": "Z/24",
-            "status": "recorded fact",
-            "hypotheses": _RECORDED_HYPOTHESES,
-        },
-        {
-            "key": "pi_{4+6a}(S^{3+3a})",
-            "value": "0",
-            "status": "recorded fact",
-            "hypotheses": _RECORDED_HYPOTHESES,
-        },
-    ]
+    return [{"key": key, "value": value, "status": "recorded fact", "hypotheses": _RECORDED_HYPOTHESES}
+            for key, value in _RECORDED_VALUES]
 
 
 def known_results_lookup(key: str):

@@ -5,8 +5,11 @@ of the fundamental ideal.
 Each field kind has one home: a Field resolves its kind object once, from the
 table _KINDS, and that object owns the square classes and their product,
 normalisation, the signature, the Witt class, the ideal powers and the
-per-kind parts of kmw.py. A GWElement stores one count per square class
-(Milnor-Husemoller), so no work or memory grows with a coefficient.
+per-kind parts of kmw.py, the Milnor identity included. A GWElement holds
+one count per square class, keyed by the class's canonical representative
+(a plain int, or "g"), so no work or memory grows with a coefficient
+(Milnor-Husemoller). SquareClass wraps a representative with its field; it
+is the value of square_class() and of the discriminant in gw_invariants().
 """
 from __future__ import annotations
 
@@ -98,6 +101,7 @@ class _Kind:
 
     p = 0  # the characteristic
     formally_real = False
+    milnor_identity = 0  # the neutral value of milnor_part, written additively
 
     def __init__(self, q):
         if q is not None:
@@ -145,6 +149,7 @@ class _QuadraticallyClosed(_Kind):
     """Every unit is a square: GW is Z by the rank, W is Z/2."""
 
     label = "Qbar"
+    milnor_identity = 1  # milnor_part multiplies positive rationals
 
     def rep(self, a):
         return 1
@@ -308,9 +313,9 @@ class _Rationals(_Kind):
     def witt_data(self, x) -> tuple:
         # drop the hyperbolic planes <1> + <-1> of the normal form and keep
         # the rest as a representative
-        net = {c.rep: n for c, n in x.counts}
+        net = dict(x.counts)
         m = _common(net.get(1, 0), net.get(-1, 0))
-        return _element(x.field, [*net.items(), (1, -m), (-1, -m)]).counts
+        return _element(x.field, [*x.counts, (1, -m), (-1, -m)]).counts
 
     def witt_str(self, w) -> str:
         return f"[{GWElement(w.field, w.data)}]"
@@ -424,17 +429,17 @@ def _class_key(rep):
 
 @dataclass(frozen=True)
 class GWElement:
-    """Virtual diagonal form in the field kind's normal form: (square class,
-    nonzero count) pairs in display order."""
+    """Virtual diagonal form in the field kind's normal form: (canonical
+    representative, nonzero count) pairs in display order."""
 
     field: Field
-    counts: tuple[tuple[SquareClass, int], ...]
+    counts: tuple[tuple[int | str, int], ...]
 
     def __str__(self) -> str:
         out = ""
-        for c, n in sorted(self.counts, key=lambda cn: cn[1] < 0):
+        for rep, n in sorted(self.counts, key=lambda cn: cn[1] < 0):
             sign = (" + " if n > 0 else " - ") if out else ("" if n > 0 else "-")
-            out += f"{sign}{'' if abs(n) == 1 else abs(n)}<{c.rep}>"
+            out += f"{sign}{'' if abs(n) == 1 else abs(n)}<{rep}>"
         return out or "0"
 
 
@@ -452,9 +457,7 @@ def _element(field: Field, pairs) -> GWElement:
         net[rep] = net.get(rep, 0) + n
     net = field.ops.normalize(net)
     _check_digits(net.values())
-    return GWElement(field, tuple(
-        (SquareClass(field, rep), net[rep]) for rep in sorted(net, key=_class_key) if net[rep]
-    ))
+    return GWElement(field, tuple((rep, net[rep]) for rep in sorted(net, key=_class_key) if net[rep]))
 
 
 def gw_make(field: Field, terms) -> GWElement:
@@ -487,7 +490,7 @@ def _same_field(x: GWElement, y: GWElement):
 
 def gw_add(x: GWElement, y: GWElement) -> GWElement:
     _same_field(x, y)
-    return _element(x.field, ((c.rep, n) for c, n in x.counts + y.counts))
+    return _element(x.field, x.counts + y.counts)
 
 
 def gw_neg(x: GWElement) -> GWElement:
@@ -501,21 +504,21 @@ def gw_sub(x: GWElement, y: GWElement) -> GWElement:
 def gw_mul(x: GWElement, y: GWElement) -> GWElement:
     _same_field(x, y)
     mul = x.field.ops.mul
-    return _element(x.field, ((mul(a.rep, b.rep), m * n) for a, m in x.counts for b, n in y.counts))
+    return _element(x.field, ((mul(a, b), m * n) for a, m in x.counts for b, n in y.counts))
 
 
 def gw_scale(n: int, x: GWElement) -> GWElement:
-    return _element(x.field, ((c.rep, n * k) for c, k in x.counts))
+    return _element(x.field, ((rep, n * k) for rep, k in x.counts))
 
 
 def gw_invariants(x: GWElement) -> dict:
     """Rank, discriminant class, and (where ordered) signature."""
     ops = x.field.ops
-    disc = reduce(ops.mul, (c.rep for c, n in x.counts if n % 2), 1)
+    disc = reduce(ops.mul, (rep for rep, n in x.counts if n % 2), 1)
     return {
-        "rank": sum(n for _c, n in x.counts),
+        "rank": sum(n for _rep, n in x.counts),
         "disc": SquareClass(x.field, disc),
-        "signature": ops.signature((c.rep, n) for c, n in x.counts),
+        "signature": ops.signature(x.counts),
     }
 
 

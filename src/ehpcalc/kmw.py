@@ -1,13 +1,14 @@
 """Graded symbol calculus on two generators: degree +1 brackets [a] over
 the field's units, a central degree -1 element eta, integer scalars in
-degree 0. Products rewrite locally ([1] = 0, eta moved to the front);
-exact normal forms exist over the decidable coefficient fields and route
-degree 0 to diagonal forms, negative degrees to their classes modulo
-hyperbolics, and positive degrees to a (multiplicative part, ideal part)
-pair with a mod-2 matching; what depends on the field kind (letters,
-exactness, the Milnor part, the mod-2 match, formal reality) is asked of
-the field's kind object in gw.py. Symbolic sheaf tags carry the closed
-rewrite tables for contraction and the tensor pairing.
+degree 0. Products rewrite locally ([1] = 0, eta moved to the front), and
+a KMWSymbol checks its terms once, where it is made. Exact normal forms
+exist over the decidable coefficient fields and route degree 0 to diagonal
+forms, negative degrees to their classes modulo hyperbolics, and positive
+degrees to a (multiplicative part, ideal part) pair with a mod-2 matching;
+what depends on the field kind (letters, exactness, the Milnor part and its
+identity, the mod-2 match, formal reality) is asked of the field's kind
+object in gw.py. Symbolic sheaf tags carry the closed rewrite tables for
+contraction and the tensor pairing.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .gw import (
     WittClass,
     _check_digits,
     gw_add,
-    gw_equal,
     gw_make,
     gw_mul,
     gw_one,
@@ -82,26 +82,19 @@ class KMWSymbol:
 
 def _build(field: Field, items) -> KMWSymbol:
     """Merge (coeff, monomial) items into a symbol, dropping monomials
-    containing a bracket at 1 and zero coefficients."""
+    containing a bracket at 1 and zero coefficients; KMWSymbol checks that
+    the rest share the degree of the first."""
     acc: dict = {}
-    degree = None
     for coeff, (s, letters) in items:
+        # checked here, before a non-integer could be summed into a count
         if not isinstance(coeff, int):
             raise DomainError("coefficients must be integers")
-        if any(a == 1 for a in letters):
-            continue
-        d = len(letters) - s
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise DomainError("terms must share one degree")
-        key = (s, tuple(letters))
-        acc[key] = acc.get(key, 0) + coeff
+        if not any(a == 1 for a in letters):
+            key = (s, tuple(letters))
+            acc[key] = acc.get(key, 0) + coeff
     _check_digits(acc.values())
-    terms = tuple(
-        (coeff, mono) for mono, coeff in sorted(acc.items()) if coeff != 0
-    )
-    return KMWSymbol(field, degree if terms else None, terms)
+    terms = tuple((coeff, mono) for mono, coeff in sorted(acc.items()) if coeff != 0)
+    return KMWSymbol(field, next((len(letters) - s for _c, (s, letters) in terms), None), terms)
 
 
 def kmw_zero(field: Field) -> KMWSymbol:
@@ -204,10 +197,6 @@ def _gw_value(field: Field, terms) -> GWElement:
     return total
 
 
-def _milnor_trivial(m) -> bool:
-    return m == 1 if isinstance(m, Fraction) else m == 0
-
-
 @dataclass(frozen=True)
 class KMWNormalForm:
     """Degree 0 holds a diagonal-form value, negative degrees a class
@@ -227,11 +216,11 @@ class KMWNormalForm:
         if self.degree is None:
             return True
         if self.degree == 0:
-            return gw_equal(self.value, gw_zero(self.field)) is True
+            return not self.value.counts
         if self.degree < 0:
             return self.value.is_zero
         milnor, witt = self.value
-        return _milnor_trivial(milnor) and witt.is_zero
+        return milnor == self.field.ops.milnor_identity and witt.is_zero
 
     def __str__(self) -> str:
         if self.degree is None:

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -346,6 +347,13 @@ class TestTensorCommand:
         code, _, _ = run_cli(["tensor", "--expr", "KM(2)/1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("expr, err", [
+        ("KMW(W)", "parse error: expected an integer, found 'W'\n"),
+        (")", "parse error: unexpected token ')'\n"),
+    ])
+    def test_malformed_is_parse_error(self, expr, err, capsys):
+        assert run_cli(["tensor", "--expr", expr], capsys) == (2, "", err)
+
     def test_deep_nesting_is_parse_error(self, capsys):
         code, _, err = run_cli(["tensor", "--expr", "(" * 1000 + "W" + ")" * 1000], capsys)
         assert code == 2
@@ -473,6 +481,28 @@ class TestDegreeCommand:
         code, _, err = run_cli(["degree", "--map", "squaring", "--at", "1/3,1/4"], capsys)
         assert code == 1
         assert "known ids" in err
+
+    def test_lower_solution_past_the_seam_is_left_to_the_upper_piece(self, capsys):
+        argv = ["degree", "--map", "whitehead_exchange_homotopy", "--at", "1/3,1/4", "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["preimages"] == [{"point": ["1/4", "5/9"], "sign": -1}]
+        assert json.loads(out)["degree"] == -1
+
+    def test_composites_past_the_cap_are_refused_quickly_in_a_child(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
+        argv = ["degree", "--map", *["whitehead_exchange_homotopy"] * 1001, "--at", "2/97,95/97"]
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "ehpcalc.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        want = (1, "", "error: degree: 1001 maps exceed the cap of 1000\n")
+        assert (done.returncode, done.stdout, done.stderr) == want
+        assert elapsed < 1.0
+
+    def test_composite_at_the_cap_answers(self, capsys):
+        argv = ["degree", "--map", *["whitehead_exchange_homotopy"] * 1000, "--at", "2/97,95/97"]
+        assert run_cli(argv, capsys) == (0, "1\n", "")
 
 
 class TestFactsCommand:

@@ -7,6 +7,7 @@ import pytest
 
 import ehpcalc.ehp as ehp_module
 from ehpcalc.ehp import (
+    DEGREE_MAPS_CAP,
     EHPReport,
     SphereBidegree,
     classical_hp_degree,
@@ -20,7 +21,7 @@ from ehpcalc.ehp import (
     known_results_table,
     signed_preimages,
 )
-from ehpcalc.errors import DomainError, NoTensorRule, NotRegularValue
+from ehpcalc.errors import CapExceeded, DomainError, NoTensorRule, NotRegularValue
 from ehpcalc.gw import (
     exchange_class,
     finite_odd,
@@ -347,19 +348,29 @@ class TestDegreeCheck:
                 signed_preimages("identity", value)
 
     def test_zero_jacobian_detected(self, monkeypatch):
-        def flat_pieces():
-            return [
-                (
-                    Fraction(0),
-                    Fraction(1),
-                    lambda x, y: [(x, Fraction(1, 2))],
-                    lambda u, t: Fraction(0),
-                )
-            ]
-
-        monkeypatch.setitem(ehp_module._SQUARE_MAPS, "flat", flat_pieces)
+        # one piece over the whole square whose Jacobian vanishes everywhere
+        flat = ((Fraction(0), Fraction(1), lambda x, y: (x, Fraction(1, 2)), lambda u, t: Fraction(0)),)
+        monkeypatch.setitem(ehp_module._SQUARE_MAPS, "flat", flat)
         with pytest.raises(NotRegularValue):
             signed_preimages("flat", (Fraction(1, 3), Fraction(1, 4)))
+
+    def test_lower_solution_past_the_seam_is_left_to_the_upper_piece(self):
+        # the lower piece solves (1/3, 1/4) at t = 9/16, above its range
+        value = (Fraction(1, 3), Fraction(1, 4))
+        fiber = signed_preimages("whitehead_exchange_homotopy", value)
+        assert fiber == [((Fraction(1, 4), Fraction(5, 9)), -1)]
+        assert degree_by_signed_preimages("whitehead_exchange_homotopy", value) == -1
+
+    def test_composites_past_the_cap_are_refused_before_any_preimage(self, monkeypatch):
+        monkeypatch.setattr(ehp_module, "signed_preimages", lambda *_: pytest.fail("a preimage was taken"))
+        ids = ["whitehead_exchange_homotopy"] * (DEGREE_MAPS_CAP + 1)
+        with pytest.raises(CapExceeded, match=r"^degree: 1001 maps exceed the cap of 1000$"):
+            degree_by_signed_preimages(ids, ("2/97", "95/97"))
+
+    def test_composite_at_the_cap_answers(self):
+        # an even number of Whitehead maps, each of degree -1
+        ids = ["whitehead_exchange_homotopy"] * DEGREE_MAPS_CAP
+        assert degree_by_signed_preimages(ids, ("2/97", "95/97")) == 1
 
     def test_composition_with_identity(self):
         cases = [

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,22 @@ class TestField:
     def test_characteristic(self):
         assert F9.characteristic == 3
         assert RC.characteristic == 0
+
+
+# Refusals of field kinds and of values across fields, with their texts.
+REFUSALS = [
+    ("Field: unknown kind", lambda: Field("zz"), "unknown field kind 'zz'"),
+    ("SquareClass: across fields", lambda: square_class(F5, 2) * square_class(F7, 2),
+     "square classes live over different fields"),
+    ("IdealPower: across fields", lambda: fundamental_ideal_power(F5, 2).contains(gw_one(F7)),
+     "element lives over a different field"),
+]
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refused_with_its_text(call, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 class TestSquareClass:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +334,23 @@ class TestHomologyGroup:
     def test_str(self):
         assert str(HomologyGroup(0)) == "0"
         assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
+
+
+# Refusals of the matrix and group values, with their texts.
+REFUSALS = [
+    ("IntegerMatrix: negative dimension", lambda: IntegerMatrix(-1, 0, ()), "negative matrix dimension"),
+    ("IntegerMatrix: row count", lambda: IntegerMatrix(2, 0, ((),)), "row count mismatch"),
+    ("IntegerMatrix: column count", lambda: IntegerMatrix(1, 2, ((1,),)), "column count mismatch"),
+    ("IntegerMatrix: product shapes", lambda: IntegerMatrix.identity(2) @ IntegerMatrix.identity(3),
+     "matrix shapes do not compose"),
+    ("HomologyGroup: negative rank", lambda: HomologyGroup(-1), "negative free rank"),
+]
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refused_with_its_text(call, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def dense(columns, n):

@@ -133,6 +133,26 @@ class TestWords:
         assert word_token(JamesWord(S1, 0, ())) == "*"
 
 
+# Refusals of the smash powers, words and Hopf maps, with their texts.
+REFUSALS = [
+    ("smash_power: r = 0", lambda: smash_power(S1, 0), "smash power needs r >= 1"),
+    ("smash_power_class: wrong length", lambda: smash_power_class(S1, 2, (S1.simplex("e1"),)),
+     "need exactly r simplices of one dimension"),
+    ("JamesWord: negative dimension", lambda: JamesWord(S1, -1, ()), "negative word dimension"),
+    ("JamesWord: letter not in the complex", lambda: JamesWord(S1, 1, (Simplex("*", (), 1),)),
+     "letter does not live in the complex"),
+    ("james_hopf_letters: r = 0", lambda: james_hopf_letters(JamesWord(S1, 1, (S1.simplex("e1"),)), 0),
+     "subsequence length must be >= 1"),
+    ("james_hopf_map: n = 0", lambda: james_hopf_map(S1, 0, 2), "levels must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refused_with_its_text(call, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
+
+
 class TestTruncation:
     def test_level_one_recovers_the_space(self):
         for K in [S0, S1, S2, W]:
@@ -514,10 +534,10 @@ class TestSmashPowerBudget:
         with pytest.raises(CapExceeded, match="smash power: 3000 factors exceed the cap of 1000"):
             smash_power(W, 3000)
 
-    def test_one_pass_matches_the_fold_of_smash(self):
-        # SHA-256 of sset_dumps, or the refusal text, recorded from the
-        # one-pass build that the fold of smash replaced: every power under
-        # the cap dumps the same, and every refusal reads the same
+    def test_smash_powers_match_the_recorded_digests(self):
+        # SHA-256 of sset_dumps, or the refusal text, recorded for each
+        # power: every power under the cap dumps the same, and every refusal
+        # reads the same
         for K, digests in SMASH_POWER_DIGESTS:
             for r, want in enumerate(digests, start=1):
                 if want.startswith("smash:"):

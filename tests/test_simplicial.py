@@ -581,6 +581,48 @@ class TestBuildInputTypes:
             SSet.build("*", {"*": 0} | dims, faces)
 
 
+V = Simplex("v", (), 0)
+# an edge a from v to the basepoint: d_0 a = v, d_1 a = *
+EDGE = SSet.build("*", {"*": 0, "v": 0, "a": 1}, {"a": (V, PT)})
+E0 = S0.simplex("e0")
+
+# Refusals of the constructors, lookups, maps and loader, with their texts.
+REFUSALS = [
+    ("build: basepoint not a vertex", lambda: SSet.build("a", {"*": 0, "a": 1}, {"a": (PT, PT)}),
+     "basepoint 'a' must be a dimension-0 generator"),
+    ("build: the name s0", lambda: SSet.build("*", {"*": 0, "s0": 1}, {"s0": (PT, PT)}), "bad generator name 's0'"),
+    ("build: negative dimension", lambda: SSet.build("*", {"*": 0, "a": -1}, {}),
+     "generator 'a' has negative dimension"),
+    ("build: vertex with faces", lambda: SSet.build("*", {"*": 0, "v": 0}, {"v": ()}),
+     "dimension-0 generator 'v' cannot have faces"),
+    ("dim_of: unknown", lambda: S1.dim_of("nope"), "unknown generator 'nope'"),
+    ("faces_of: basepoint", lambda: S1.faces_of("*"), "dimension-0 generator '*' has no faces"),
+    ("face: index past dim", lambda: face(S1, S1.simplex("e1"), 2), "face index 2 out of range for dim 1"),
+    ("face: of a vertex", lambda: face(S1, PT, 0), "a 0-simplex has no faces"),
+    ("degenerate: index past dim", lambda: degenerate(PT, 1), "degeneracy index 1 out of range for dim 0"),
+    ("degenerate: negative index", lambda: degenerate(PT, -1), "degeneracy index -1 out of range for dim 0"),
+    ("collapse: basepoint", lambda: collapse(S1, {"*"}), "cannot collapse the basepoint"),
+    ("collapse: unknown", lambda: collapse(S1, {"zz", "yy"}), "cannot collapse unknown generators ['yy', 'zz']"),
+    ("SMap.build: images do not cover", lambda: SMap.build(EDGE, S0, {"*": PT, "v": E0}),
+     "images must cover exactly the source generators"),
+    ("SMap.build: basepoint moved", lambda: SMap.build(EDGE, S0, {"*": E0, "v": E0, "a": degenerate(E0, 0)}),
+     "a pointed map must send basepoint to basepoint"),
+    # d_1 a = * goes to *, but d_1 s_0 e0 = e0
+    ("SMap.build: not simplicial", lambda: SMap.build(EDGE, S0, {"*": PT, "v": E0, "a": degenerate(E0, 0)}),
+     "not simplicial at generator 'a', face 1"),
+    ("compose: middle mismatch", lambda: compose(identity_map(S1), identity_map(S2)),
+     "compose needs matching middle complex"),
+    ("sset_loads: not JSON", lambda: sset_loads("{"),
+     "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+]
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_refused_with_its_text(call, text):
+    with pytest.raises((DomainError, ExprParseError), match=f"^{re.escape(text)}$"):
+        call()
+
+
 class TestCollectorPause:
     @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
     def collector(self, request):
