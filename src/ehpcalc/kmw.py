@@ -18,7 +18,6 @@ from .errors import CapExceeded, DomainError, NoTensorRule, NormalFormUnavailabl
 from .gw import (
     Field,
     GWElement,
-    WittClass,
     _check_digits,
     gw_add,
     gw_make,
