@@ -25,15 +25,14 @@ from functools import partial, reduce
 
 from .ehp import (
     SphereBidegree,
+    _signed_fiber,
     classical_hp_degree,
-    degree_by_signed_preimages,
     ehp_sequence_report,
     exchange_degree,
     hp_differential,
     hp_invariant_report,
     known_results_lookup,
     known_results_table,
-    signed_preimages,
 )
 from .errors import CapExceeded, DomainError, ExprParseError, NormalFormUnavailable
 from .gw import (
@@ -64,8 +63,8 @@ from .kmw import (
     kmw_scalar,
     sheaf_token,
 )
-from .simplicial import (SPHERE_DIM_CAP, Simplex, SSet, build_sphere, check_sphere_dim, degenerate, point, product,
-                         product_census, simplex_token, smash, smash_census, wedge)
+from .simplicial import (SPHERE_DIM_CAP, SSet, _wedge_of_spheres, build_sphere, check_sphere_dim, degenerate, point,
+                         product, product_census, simplex_token, smash, smash_census, wedge)
 
 
 def parse_field(text: str):
@@ -260,17 +259,6 @@ def _space_sum(cur, alg: _Algebra):
 # -- james words: letters split on |, each "s1 s0 name" with ops outermost first
 
 
-def _free_letters_complex(base_dims: dict) -> SSet:
-    dims = {"*": 0}
-    faces = {}
-    for name, d in sorted(base_dims.items()):
-        dims[name] = d
-        if d > 0:
-            bp = Simplex("*", tuple(range(d - 2, -1, -1)), d - 1)
-            faces[name] = tuple(bp for _ in range(d + 1))
-    return SSet.build("*", dims, faces)
-
-
 def parse_word(text: str, dim=None) -> JamesWord:
     raw = [part.strip() for part in text.split("|")]
     letters = []
@@ -293,7 +281,7 @@ def parse_word(text: str, dim=None) -> JamesWord:
             raise CapExceeded(f"word: letter dimension {d} exceeds the cap of {SPHERE_DIM_CAP}")
         if base_dims.setdefault(name, d) != d:
             raise DomainError(f"letter {name!r} is used at inconsistent dimensions")
-    K = _free_letters_complex(base_dims)
+    K = _wedge_of_spheres(base_dims)
     simplices = []
     for ops, name in letters:
         x = K.simplex(name)
@@ -528,12 +516,13 @@ def cmd_degree(args) -> str:
     if len(parts) != 2:
         raise ExprParseError("the value is two comma-separated rationals")
     value = tuple(_fraction(part, "coordinate") for part in parts)
-    deg = degree_by_signed_preimages(args.map, value)
+    fiber = _signed_fiber(args.map, value)
+    deg = sum(sign for _point, sign in fiber)
     doc = {"maps": args.map, "value": parts, "degree": deg}
     if len(args.map) == 1:
         doc["preimages"] = [
             {"point": [str(u), str(t)], "sign": s}
-            for (u, t), s in signed_preimages(args.map[0], value)
+            for (u, t), s in fiber
         ]
     return _render(args, str(deg), doc)
 

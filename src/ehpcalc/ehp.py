@@ -244,12 +244,9 @@ def signed_preimages(map_id: str, value) -> list:
     return sorted(found)
 
 
-def degree_by_signed_preimages(map_id, value) -> int:
-    """Degree as the signed count of exact rational preimages.
-
-    map_id is a single id or a sequence of ids denoting a composite,
-    outermost first.
-    """
+def _signed_fiber(map_id, value) -> list:
+    """(point, sign) for each exact preimage of value under the composite
+    map_id, the sign the product of the Jacobian signs along the way."""
     ids = [map_id] if isinstance(map_id, str) else list(map_id)
     if not ids:
         raise DomainError("need at least one map id")
@@ -262,7 +259,16 @@ def degree_by_signed_preimages(map_id, value) -> int:
             for target, sign in fibers
             for point, s in signed_preimages(mid, target)
         ]
-    return sum(sign for _point, sign in fibers)
+    return fibers
+
+
+def degree_by_signed_preimages(map_id, value) -> int:
+    """Degree as the signed count of exact rational preimages.
+
+    map_id is a single id or a sequence of ids denoting a composite,
+    outermost first.
+    """
+    return sum(sign for _point, sign in _signed_fiber(map_id, value))
 
 
 _RECORDED_HYPOTHESES = "characteristic 0, containing a quadratically closed subfield"

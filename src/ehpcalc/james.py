@@ -90,25 +90,27 @@ class JamesWord:
         return len(self.letters)
 
 
-def _word(K: SSet, dim: int, letters) -> JamesWord:
+def _word(K: SSet, dim: int, letters: tuple[Simplex, ...]) -> JamesWord:
     """A JamesWord whose letters are dim-simplices of K by construction,
-    built without the checks; basepoint letters are still deleted, since
-    faces and smash classes can land on the basepoint."""
+    built without the checks and sharing the tuple, unless a basepoint
+    letter must go: faces and smash classes can land on the basepoint."""
     w = object.__new__(JamesWord)
     _setattr(w, "complex", K)
     _setattr(w, "dim", dim)
-    _setattr(w, "letters", tuple(x for x in letters if x.generator != K.basepoint))
+    if K.basepoint in map(_generator, letters):
+        letters = tuple(x for x in letters if x.generator != K.basepoint)
+    _setattr(w, "letters", letters)
     return w
 
 
 def word_face(w: JamesWord, i: int) -> JamesWord:
     if w.dim == 0:
         raise DomainError("a 0-dimensional word has no faces")
-    return _word(w.complex, w.dim - 1, (face(w.complex, x, i) for x in w.letters))
+    return _word(w.complex, w.dim - 1, tuple(face(w.complex, x, i) for x in w.letters))
 
 
 def word_degenerate(w: JamesWord, i: int) -> JamesWord:
-    return _word(w.complex, w.dim + 1, (degenerate(x, i) for x in w.letters))
+    return _word(w.complex, w.dim + 1, tuple(degenerate(x, i) for x in w.letters))
 
 
 def word_is_degenerate(w: JamesWord) -> bool:

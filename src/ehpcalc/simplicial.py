@@ -107,27 +107,26 @@ _NAME_RE = re.compile(r"(?!s\d+\Z)\S+$")
 class SSet:
     """A finite pointed simplicial set given by nondegenerate generators.
 
-    gens: (name, dim) pairs sorted by (dim, name); face_table: for each
-    generator of positive dimension, its ordered faces d_0..d_n as
-    Simplex values of the same complex.
+    Two dicts, put in (dim, name) order by build and never changed after:
+    _dims maps each generator to its dimension, and _faces each generator of
+    positive dimension to its faces d_0..d_n, Simplex values of the same
+    complex. gens is a read-only view of _dims; the hash is taken once.
     """
 
     basepoint: str
-    gens: tuple[tuple[str, int], ...]
-    face_table: tuple[tuple[str, tuple[Simplex, ...]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_dims", dict(self.gens))
-        object.__setattr__(self, "_faces", dict(self.face_table))
-        by_dim = itertools.groupby(self.gens, operator.itemgetter(1))  # gens are sorted by dim
-        object.__setattr__(self, "_by_dim", {d: tuple(n for n, _ in g) for d, g in by_dim})
+    _dims: dict[str, int]
+    _faces: dict[str, tuple[Simplex, ...]]
 
     def __hash__(self) -> int:
         # hashed once, on first use: caches keyed on complexes would otherwise
         # re-hash every face on every lookup, and most complexes are never hashed
         if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.basepoint, self.gens, self.face_table)))
+            object.__setattr__(self, "_hash", hash((self.basepoint, *self._dims.items(), *self._faces.items())))
         return self._hash
+
+    @property
+    def gens(self):
+        return self._dims.items()
 
     # -- construction ---------------------------------------------------
 
@@ -153,12 +152,12 @@ class SSet:
                 raise DomainError(f"dimension-0 generator {name!r} cannot have faces")
             if d > 0 and (name not in faces or len(faces[name]) != d + 1):
                 raise DomainError(f"generator {name!r} needs exactly {d + 1} faces")
-        gens = tuple(sorted(dims.items(), key=operator.itemgetter(1, 0)))
-        table = tuple((n, tuple(faces[n])) for n, d in gens if d > 0)
-        if not _all_of_type(itertools.chain.from_iterable(map(operator.itemgetter(1), table)), Simplex):
-            name, i, f = next((n, i, f) for n, row in table for i, f in enumerate(row) if type(f) is not Simplex)
+        dims = dict(sorted(dims.items(), key=operator.itemgetter(1, 0)))
+        faces = {n: tuple(faces[n]) for n, d in dims.items() if d > 0}
+        if not _all_of_type(itertools.chain.from_iterable(faces.values()), Simplex):
+            name, i, f = next((n, i, f) for n, fs in faces.items() for i, f in enumerate(fs) if type(f) is not Simplex)
             raise DomainError(f"face {i} of {name!r} is not a Simplex: {f!r}")
-        K = SSet(basepoint, gens, table)
+        K = SSet(basepoint, dims, faces)
         K._validate()
         return K
 
@@ -168,7 +167,7 @@ class SSet:
         on the face tuple (d is its length less one): each distinct tuple is
         checked once, under the first generator in (dim, name) order with it."""
         first: dict[tuple[Simplex, ...], str] = {}
-        for name, faces in self.face_table:
+        for name, faces in self._faces.items():
             if first.setdefault(faces, name) != name:
                 continue
             d = len(faces) - 1
@@ -210,8 +209,8 @@ class SSet:
 
     def generators(self, dim: int | None = None) -> tuple[str, ...]:
         if dim is None:
-            return tuple(n for n, _ in self.gens)
-        return self._by_dim.get(dim, ())
+            return tuple(self._dims)
+        return tuple(n for n, d in self._dims.items() if d == dim)
 
     @property
     def max_dim(self) -> int:
@@ -219,7 +218,7 @@ class SSet:
 
     @property
     def n_generators(self) -> int:
-        return len(self.gens)
+        return len(self._dims)
 
     def simplex(self, name: str, word: tuple[int, ...] = ()) -> Simplex:
         return Simplex(name, word, self.dim_of(name) + len(word))
@@ -359,10 +358,16 @@ def build_sphere(n: int) -> SSet:
     ('*', 'e1')
     """
     check_sphere_dim(n)
-    if n == 0:
-        return SSet.build("*", {"*": 0, "e0": 0}, {})
-    over_basepoint = _simplex("*", tuple(range(n - 2, -1, -1)), n - 1)
-    return SSet.build("*", {"*": 0, f"e{n}": n}, {f"e{n}": (over_basepoint,) * (n + 1)})
+    return _wedge_of_spheres({f"e{n}": n})
+
+
+def _wedge_of_spheres(dims: dict[str, int]) -> SSet:
+    """The wedge of spheres on the basepoint "*", one generator of each
+    given name and dimension with every face over the basepoint; the names
+    are checked in sorted order."""
+    faces = {n: (_simplex("*", tuple(range(d - 2, -1, -1)), d - 1),) * (d + 1)
+             for n, d in dims.items() if d > 0}
+    return SSet.build("*", {"*": 0} | dict(sorted(dims.items())), faces)
 
 
 PairTable = tuple[tuple[str, tuple[Simplex, Simplex]], ...]
@@ -504,14 +509,11 @@ def wedge(A: SSet, *more: SSet) -> SSet:
     faces: dict[str, tuple[Simplex, ...]] = {}
     for k, K in enumerate((A, *more)):
         prefix = "l." * (len(more) - k) + ("r." if k else "")
-        for name, d in K.gens:
-            if name == K.basepoint:
-                continue
-            dims[prefix + name] = d
-            if d > 0:
-                faces[prefix + name] = tuple(
-                    _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
-                    for f in K.faces_of(name))
+        dims |= {prefix + name: d for name, d in K.gens if name != K.basepoint}
+        for name, row in K._faces.items():
+            faces[prefix + name] = tuple(
+                _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
+                for f in row)
     return SSet.build("*", dims, faces) if more else A
 
 
@@ -530,13 +532,8 @@ def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
             if f.generator not in kill and f.generator != K.basepoint:
                 raise DomainError(f"collapse set is not face-closed at {g!r}")
     dims = {n: d for n, d in K.gens if n not in kill}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    for name, d in dims.items():
-        if d == 0:
-            continue
-        faces[name] = tuple(
-            K.basepoint_simplex(f.dim) if f.generator in kill else f
-            for f in K.faces_of(name))
+    faces = {name: tuple(K.basepoint_simplex(f.dim) if f.generator in kill else f for f in row)
+             for name, row in K._faces.items() if name not in kill}
     return SSet.build(K.basepoint, dims, faces)
 
 
@@ -580,14 +577,20 @@ def suspension(K: SSet) -> SSet:
 
 @dataclass(frozen=True)
 class SMap:
-    """A pointed simplicial map, stored by generator images and verified."""
+    """A pointed simplicial map, stored by generator images and verified:
+    one dict, put in the source's (dim, name) order by build and never
+    changed after, with images a read-only view of it."""
 
     source: SSet
     target: SSet
-    images: tuple[tuple[str, Simplex], ...]
+    _img: dict[str, Simplex]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_img", dict(self.images))
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, *self._img.items()))
+
+    @property
+    def images(self):
+        return self._img.items()
 
     @staticmethod
     def build(source: SSet, target: SSet, images: dict[str, Simplex]) -> "SMap":
@@ -595,7 +598,7 @@ class SMap:
             raise DomainError("images must cover exactly the source generators")
         if images[source.basepoint] != target.basepoint_simplex(0):
             raise DomainError("a pointed map must send basepoint to basepoint")
-        f = SMap(source, target, tuple(sorted(images.items())))
+        f = SMap(source, target, {name: images[name] for name in source.generators()})
         for name, d in source.gens:
             if images[name].dim != d:
                 raise DomainError(f"image of {name!r} has wrong dimension")

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ehpcalc
+from ehpcalc import cli, ehp
 from ehpcalc.cli import MAX_NESTING, main, parse_space
+from ehpcalc.ehp import signed_preimages
 from ehpcalc.errors import DomainError
 from ehpcalc.james import james_census
 from ehpcalc.simplicial import SSet, build_sphere, product, smash, sset_dumps, wedge
@@ -503,6 +505,22 @@ class TestDegreeCommand:
     def test_composite_at_the_cap_answers(self, capsys):
         argv = ["degree", "--map", *["whitehead_exchange_homotopy"] * 1000, "--at", "2/97,95/97"]
         assert run_cli(argv, capsys) == (0, "1\n", "")
+
+    def test_single_map_fiber_taken_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return signed_preimages(*args)
+
+        monkeypatch.setattr(ehp, "signed_preimages", counted)
+        monkeypatch.setattr(cli, "signed_preimages", counted, raising=False)  # wherever the CLI may call it from
+        argv = ["degree", "--map", "whitehead_exchange_homotopy", "--at", "1/4,3/4", "--format", "json"]
+        # the bytes printed before the fiber was taken once
+        want = ('{"degree": -1, "maps": ["whitehead_exchange_homotopy"], '
+                '"preimages": [{"point": ["1/4", "1/6"], "sign": -1}], "value": ["1/4", "3/4"]}\n')
+        assert run_cli(argv, capsys) == (0, want, "")
+        assert len(calls) == 1
 
 
 class TestFactsCommand:

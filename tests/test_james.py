@@ -39,6 +39,7 @@ from ehpcalc.simplicial import (
     SSet,
     Simplex,
     build_sphere,
+    collapse,
     compose,
     degenerate,
     dimension_census,
@@ -51,6 +52,7 @@ from ehpcalc.simplicial import (
     smash,
     smash_map,
     sset_dumps,
+    suspension,
     wedge,
 )
 
@@ -303,7 +305,7 @@ class TestHopfWord:
         # words on free letters of dimension <= dim, degenerate letters and
         # the basepoint included, wherever the smash power is under its cap
         dim = data.draw(st.integers(0, 2))
-        K = cli._free_letters_complex(data.draw(st.dictionaries(st.sampled_from("abc"), st.integers(0, dim))))
+        K = simplicial._wedge_of_spheres(data.draw(st.dictionaries(st.sampled_from("abc"), st.integers(0, dim))))
         letters = data.draw(st.lists(st.sampled_from(K.simplices(dim)), max_size=7))
         r = data.draw(st.integers(1, 4))
         try:
@@ -472,6 +474,18 @@ BUILD_DIGESTS = {
                                            "8b5c2b3f63f7cfed604766c8a9bcacafcb56a32ac5333cf500a1be654075ad06"),
     "smash_power(wedge of 8 circles, 3)": (lambda: smash_power(wedge(*[S1] * 8), 3),
                                            "26689e210e52409eb969e2393a283bf08d04e1122e54e65bb7a42f143d38e60d"),
+    # complexes built by SSet.build directly, recorded while each complex
+    # still kept its generators and faces twice
+    "wedge(S1, S2, S0)": (lambda: wedge(S1, S2, S0),
+                          "2cc916092e174146dc9bb0a16dfac58dac577f70bb15b91f0c5bd1d70329cd35"),
+    "collapse of the first circle of S1 x S1": (lambda: collapse(product(S1, S1), {"(e1,s0.*)"}),
+                                                "ff89c8d62bb1823c0b48d00718f7229cc6226e46af7a05b5e8b15bd8c8dd8490"),
+    "suspension(S2)": (lambda: suspension(S2),
+                       "2d5142e6d2079da542894d04a9b03d588ff0ea7d0c612f9b03b62abb78ce9065"),
+    "quotient of james_quotient(S1, 2)": (lambda: james_quotient(S1, 2)[0],
+                                          "0193f2070f725269975c012f6db58cae4bc413d65729870b06addb57f9ce905b"),
+    "parse_word('x|y|x').complex": (lambda: cli.parse_word("x|y|x").complex,
+                                    "33c273873acdec11d1661fd0b68efefcdc94d2e37cd6f75953180501b58fd9e4"),
 }
 
 

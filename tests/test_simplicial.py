@@ -382,6 +382,48 @@ class TestHashedOnce:
             assert L == K and hash(L) == hash(K)
 
 
+class TestOneCanonicalOrder:
+    """A complex or map does not depend on the insertion order of the dicts
+    it is built from: equal values, equal hashes, one cache entry."""
+
+    BP = Simplex("*", (), 0)
+    DIMS = {"*": 0, "order-v": 0, "order-b": 1, "order-a": 1, "order-t": 2}
+    FACES = {"order-a": (BP, BP), "order-b": (BP, BP),
+             "order-t": (Simplex("order-a", (), 1), Simplex("order-b", (), 1), Simplex("*", (0,), 1))}
+
+    @classmethod
+    def both_orders(cls):
+        # generator names no other test uses, so the first product is a cache miss
+        return (SSet.build("*", cls.DIMS, cls.FACES),
+                SSet.build("*", dict(reversed(cls.DIMS.items())), dict(reversed(cls.FACES.items()))))
+
+    def test_reordered_builds_are_one_complex(self):
+        A, B = self.both_orders()
+        assert A is not B and A == B and hash(A) == hash(B)
+        assert sset_dumps(A) == sset_dumps(B)
+        PA = product(A, S1)
+        before = product.cache_info()
+        assert product(B, S1) is PA
+        after = product.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_gens_in_dim_name_order(self):
+        A, B = self.both_orders()
+        want = [("*", 0), ("order-v", 0), ("order-a", 1), ("order-b", 1), ("order-t", 2)]
+        assert list(A.gens) == list(B.gens) == want
+        assert A.generators() == tuple(n for n, _ in want)
+        assert A.generators(1) == ("order-a", "order-b")
+        assert A.generators(3) == ()
+
+    def test_reordered_map_builds_are_one_map(self):
+        A, B = self.both_orders()
+        images = {n: A.simplex(n) for n in reversed(A.generators())}
+        f, g = SMap.build(A, B, images), SMap.build(A, B, dict(reversed(images.items())))
+        assert f == g and hash(f) == hash(g)
+        assert f == identity_map(A) and hash(f) == hash(identity_map(B))
+        assert dict(f.images) == images and {f, g} == {f}
+
+
 class TestMaps:
     def test_identity_and_compose(self):
         ident = identity_map(S1)

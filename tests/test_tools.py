@@ -1,12 +1,32 @@
 """The maintenance tools under tools/, run as their users run them."""
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOLS / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def two_checkouts(tmp_path, monkeypatch, bench_record):
+    """Empty parent and change checkouts, the change taken as the script's own."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    monkeypatch.setattr(bench_record, "HERE", str(change))
+    return parent, change
 
 
 def test_workload_argvs_writes_every_forms_stream_op_in_both_formats(tmp_path):
@@ -20,3 +40,38 @@ def test_workload_argvs_writes_every_forms_stream_op_in_both_formats(tmp_path):
     assert [argv[-2:] for argv in argvs] == [["--format", "json"], ["--format", "text"]] * 200
     assert [argv[:-2] for argv in argvs[::2]] == [argv[:-2] for argv in argvs[1::2]]
     assert {argv[0] for argv in argvs} == {"gw", "kmw", "tensor", "ehp", "degree", "facts"}
+
+
+def test_bench_record_runs_each_side_without_writing_bytecode(tmp_path, monkeypatch):
+    bench_record = load_bench_record()
+    parent, change = two_checkouts(tmp_path, monkeypatch, bench_record)
+    calls, real_run = [], subprocess.run
+
+    def run(cmd, **kwargs):  # a perfbench run gives its last stdout line and its stderr
+        if cmd[1:2] != ["perfbench/run.py"]:
+            return real_run(cmd, **kwargs)  # platform's own probes
+        calls.append((kwargs["cwd"], kwargs["env"]))
+        metrics = json.dumps({"metrics": {"wall_s": {"value": 0.25, "unit": "s"}}})
+        return subprocess.CompletedProcess(cmd, 0, metrics + "\n", "measured before scaling: wall_s 0.3 s\n")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--parent", str(parent), "--out", str(out)]) == 0
+    assert len(calls) == 2 * bench_record.PAIRS * len(bench_record.WORKLOADS)
+    assert {cwd for cwd, _ in calls} == {str(parent), str(change)}
+    assert all(env == dict(os.environ, PYTHONDONTWRITEBYTECODE="1") for _, env in calls)
+    doc = json.loads(out.read_text())
+    assert doc["unscaled_medians"]["forms_stream"]["parent"] == {"wall_s": 0.3}
+
+
+@pytest.mark.parametrize("side, folder", [("parent", "src/ehpcalc"), ("change", "perfbench")])
+def test_bench_record_refuses_a_checkout_with_cached_bytecode(tmp_path, monkeypatch, capsys, side, folder):
+    bench_record = load_bench_record()
+    parent, _change = two_checkouts(tmp_path, monkeypatch, bench_record)
+    cache = tmp_path / side / folder / "__pycache__"
+    cache.mkdir(parents=True)
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("a benchmark ran"))
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--parent", str(parent), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"refusing to start: {cache} holds cached bytecode; delete it\n"
+    assert not out.exists()

@@ -16,6 +16,11 @@ perfbench's own. The output file holds every run, the medians of each
 end-to-end metric per workload and side, scaled ("medians") and unscaled
 ("unscaled_medians"), and the machine the runs were made on. Standard
 library only; perfbench itself is run as it is.
+
+Each run has PYTHONDONTWRITEBYTECODE=1 in its environment, and the script
+refuses to start while either checkout holds a __pycache__ under src/ or
+perfbench/: bytecode cached on one side only would show there as a
+setup_s gain.
 """
 from __future__ import annotations
 
@@ -36,7 +41,8 @@ MEASURED, PACE = "measured before scaling: ", "pace: kernel median "
 
 def run_once(root: str, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     run = json.loads(done.stdout.strip().splitlines()[-1])
     run["stderr"] = [line for line in done.stderr.splitlines() if line.startswith((MEASURED, PACE))]
     measured = next(line for line in run["stderr"] if line.startswith(MEASURED))
@@ -45,6 +51,16 @@ def run_once(root: str, workload: str, seed: int) -> dict:
         name, value, unit = part.split(" ")
         run["unscaled"][name] = {"value": float(value), "unit": unit}
     return run
+
+
+def bytecode_caches(root: str) -> list[str]:
+    """The __pycache__ directories under root's src/ and perfbench/."""
+    found = []
+    for top in ("src", "perfbench"):
+        for folder, subfolders, _files in os.walk(os.path.join(root, top)):
+            if "__pycache__" in subfolders:
+                found.append(os.path.join(folder, "__pycache__"))
+    return found
 
 
 def medians(runs: list[dict], key: str = "metrics") -> dict:
@@ -60,6 +76,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     sides = {"parent": os.path.abspath(args.parent), "change": HERE}
+    cached = [path for root in sides.values() for path in bytecode_caches(root)]
+    if cached:
+        print(f"refusing to start: {cached[0]} holds cached bytecode; delete it", file=sys.stderr)
+        return 1
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for i in range(PAIRS):
         for w in WORKLOADS:
