@@ -5,14 +5,19 @@ operation, and prints text or JSON (--format). Identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 domain error,
 2 parse error.
 
-The argument parser is built once, at import, by build_parser. The
-expression grammars share their front end: _scan splits a string into
-tokens, _Cursor walks them, _fold reads a chain of one left-associative
-operator, _signed_sum reads terms joined by + and -, and _int and
-_fraction are the one readers of integers and rational numbers. Space
-expressions fold into an _Algebra: built complexes for parse_space,
-reduced chains for homology and censuses {dim: generators} for james, so
-neither homology nor james builds a complex, not even Sn or pt.
+_COMMANDS holds each subcommand and its options once. build_parser makes
+the argparse parser of it at import, and _read_args reads from it an argv
+made of a path and then each option at most once, as "flag value", "flag
+v1 v2 ..." or "--flag=value", when int() reads each value, it is a choice
+or it is a separate token not starting with "-". Every other argv, and all
+help, usage and error text, is left to argparse. The expression grammars
+share their front end: _scan splits a string into tokens, _Cursor walks
+them, _fold reads a chain of one left-associative operator, _signed_sum
+reads terms joined by + and -, and _int and _fraction are the one readers
+of integers and rational numbers. Space expressions fold into an _Algebra:
+built complexes for parse_space, reduced chains for homology and censuses
+{dim: generators} for james, so neither homology nor james builds a
+complex, not even Sn or pt.
 """
 
 import argparse
@@ -540,56 +545,85 @@ def cmd_facts(args) -> str:
     return _render(args, line(entry), entry)
 
 
+# One row per subcommand, in help order: path, runner, summary and options
+# after --format, each (flags, kind[, default]) with kind str, int, list (one
+# or more values) or a tuple of choices; an option with no default is required.
+_FORMAT = ("--format", ("text", "json"), "text")
+_KINDS = {str: {}, int: {"type": int}, list: {"nargs": "+"}}  # add_argument's keywords
+_REQUIRED = object()  # the value of a required option until it is read
+_COMMANDS = (
+    ("homology", cmd_homology, "reduced integral homology of a space expression", [("--space", str)]),
+    ("james", cmd_james, "cell census of a truncation level", [("--space", str), ("-n --level", int)]),
+    ("hopf", cmd_hopf, "subsequence word of a james word", [("--word", str), ("-r", int), ("--dim", int, None)]),
+    ("gw", cmd_gw, "normalize a diagonal form and report invariants", [("--expr", str), ("--field", str)]),
+    ("kmw", cmd_kmw, "normalize a symbol expression", [("--expr", str), ("--field", str)]),
+    ("tensor", cmd_tensor, "resolve a sheaf expression", [("--expr", str)]),
+    ("ehp", None, "sphere bookkeeping", []),  # a group of the rows below it
+    ("ehp hp", cmd_ehp_hp, "boundary element case and invariants", [("-p", int), ("-q", int), ("--field", str)]),
+    ("ehp exchange", cmd_ehp_exchange, "factor-swap degree", [("-p", int), ("-q", int), ("--field", str)]),
+    ("ehp sequence", cmd_ehp_sequence, "exact-sequence window report",
+     [("--sphere", str), ("--mode", ("low_degree", "full_range"), "low_degree")]),
+    ("ehp classical", cmd_ehp_classical, "integer boundary degree at q = 0", [("-p", int)]),
+    ("degree", cmd_degree, "signed-preimage degree of a built-in square map", [("--map", list), ("--at", str)]),
+    ("facts", cmd_facts, "recorded values table", [("--key", str, None)]),
+)
+
+
+def _reader(path, run, options):
+    """A row's {flag: (dest, read, many)}, and its namespace before any option is read."""
+    *groups, name = words = path.split()
+    flags, args = {}, {"command": words[0], "run": run, **{f"{group}_command": name for group in groups}}
+    for spec, kind, *default in (_FORMAT, *options):
+        dest = spec.split()[-1].lstrip("-")  # the long flag, written last
+        read = {int: int, str: str, list: str}.get(kind) or dict(zip(kind, kind)).__getitem__
+        flags |= dict.fromkeys(spec.split(), (dest, read, kind is list))
+        args[dest] = default[0] if default else _REQUIRED
+    return flags, args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ehpcalc",
-        description="Exact calculators: homology, James words, symbols, sequence reports.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(owner, name, run, summary, *required):
-        """Subcommand name with --format, then the required string options."""
-        p = owner.add_parser(name, help=summary)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        for flag in required:
-            p.add_argument(flag, required=True)
+    parser = argparse.ArgumentParser(prog="ehpcalc", description=(
+        "Exact calculators: homology, James words, symbols, sequence reports."))
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, run, summary, options in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=summary)
+        if run is None:
+            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        for flags, kind, *default in (_FORMAT, *options):
+            p.add_argument(*flags.split(), **_KINDS.get(kind, {"choices": kind}),
+                           **({"default": default[0]} if default else {"required": True}))
         p.set_defaults(run=run)
-        return p
-
-    add(sub, "homology", cmd_homology, "reduced integral homology of a space expression", "--space")
-    p = add(sub, "james", cmd_james, "cell census of a truncation level", "--space")
-    p.add_argument("-n", "--level", type=int, required=True)
-    p = add(sub, "hopf", cmd_hopf, "subsequence word of a james word", "--word")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None)
-    add(sub, "gw", cmd_gw, "normalize a diagonal form and report invariants", "--expr", "--field")
-    add(sub, "kmw", cmd_kmw, "normalize a symbol expression", "--expr", "--field")
-    add(sub, "tensor", cmd_tensor, "resolve a sheaf expression", "--expr")
-
-    ehp_sub = sub.add_parser("ehp", help="sphere bookkeeping").add_subparsers(dest="ehp_command", required=True)
-    for name, run, summary in (("hp", cmd_ehp_hp, "boundary element case and invariants"),
-                               ("exchange", cmd_ehp_exchange, "factor-swap degree")):
-        p = add(ehp_sub, name, run, summary)
-        p.add_argument("-p", type=int, required=True)
-        p.add_argument("-q", type=int, required=True)
-        p.add_argument("--field", required=True)
-    p = add(ehp_sub, "sequence", cmd_ehp_sequence, "exact-sequence window report", "--sphere")
-    p.add_argument("--mode", choices=("low_degree", "full_range"), default="low_degree")
-    p = add(ehp_sub, "classical", cmd_ehp_classical, "integer boundary degree at q = 0")
-    p.add_argument("-p", type=int, required=True)
-
-    p = add(sub, "degree", cmd_degree, "signed-preimage degree of a built-in square map")
-    p.add_argument("--map", nargs="+", required=True)
-    p.add_argument("--at", required=True)
-    add(sub, "facts", cmd_facts, "recorded values table").add_argument("--key", default=None)
     return parser
 
 
 _PARSER = build_parser()
+_READERS = {tuple(path.split()): _reader(path, run, options) for path, run, _, options in _COMMANDS if run}
+
+
+def _read_args(argv: list):
+    """_PARSER's namespace for an argv list of the form the module docstring gives, else None."""
+    if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
+        return None
+    args, i = {}, 1 if tuple(argv[:1]) in _READERS else 2
+    try:
+        flags, defaults = _READERS[tuple(argv[:i])]
+        while i < len(argv):
+            flag, eq, value = argv[i].partition("=")
+            dest, read, many = flags[flag if eq and flag.startswith("--") else argv[i]]
+            end = next((j for j in range(i + 1, len(argv)) if argv[j].startswith("-")), len(argv))
+            values, i = ([value] if eq else []) + argv[i + 1:end], end
+            if dest in args or value == "--" or not values or len(values) > 1 and (eq or not many):
+                return None  # a repeat, --flag=-- (which argparse reads as no value), or a wrong count
+            args[dest] = [read(v) for v in values] if many else read(values[0])
+    except (KeyError, ValueError):  # an unknown path or flag, or a value int() or the choices refuse
+        return None
+    return None if _REQUIRED in (args := defaults | args).values() else argparse.Namespace(**args)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _read_args(argv) or _PARSER.parse_args(argv)
     try:
         out = args.run(args)
     except ExprParseError as exc:

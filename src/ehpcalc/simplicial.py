@@ -525,12 +525,9 @@ def collapse(K: SSet, kill: frozenset[str] | set[str]) -> SSet:
     unknown = kill - set(K.generators())
     if unknown:
         raise DomainError(f"cannot collapse unknown generators {sorted(unknown)}")
-    for g in kill:
-        if K.dim_of(g) == 0:
-            continue
-        for f in K.faces_of(g):
-            if f.generator not in kill and f.generator != K.basepoint:
-                raise DomainError(f"collapse set is not face-closed at {g!r}")
+    for g, row in K._faces.items():  # in (dim, name) order, so the offender named is fixed
+        if g in kill and any(f.generator not in kill and f.generator != K.basepoint for f in row):
+            raise DomainError(f"collapse set is not face-closed at {g!r}")
     dims = {n: d for n, d in K.gens if n not in kill}
     faces = {name: tuple(K.basepoint_simplex(f.dim) if f.generator in kill else f for f in row)
              for name, row in K._faces.items() if name not in kill}

@@ -879,3 +879,105 @@ def test_drawn_argvs_end_cleanly_in_a_child(argvs):
     assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
     codes = [json.loads(line) for line in done.stdout.splitlines()]
     assert len(codes) == len(argvs) and set(codes) <= {0, 1, 2}, list(zip(argvs, codes))
+
+
+# -- the direct argv reader: wherever it reads an argv, argparse reads the same
+
+_ARGPARSE = cli.build_parser()
+_ROWS = [row for row in cli._COMMANDS if row[1]]
+_NAMES = st.text(alphabet="S1x^ <>/=_-", max_size=6)
+# tokens a mutation puts in: values argparse reads its own way or refuses, choices and names
+_ODD_TOKENS = ["-3", "-<1>", "", " 4", "4_0", "٣", "1e3", "bogus", "-h", "--help", "--", "text", "json",
+               "low_degree", "full_range", "hp", "ehp", "homology", "S1", "x y"]
+_FLAGS = sorted({flag for _, _, _, options in _ROWS for spec, *_ in (cli._FORMAT, *options) for flag in spec.split()})
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    """A row's path, then some order of its options, each written once with
+    a well-formed value: required ones always, optional ones sometimes."""
+    path, _run, _summary, options = draw(st.sampled_from(_ROWS))
+    argv = path.split()
+    for spec, kind, *default in draw(st.permutations((cli._FORMAT, *options))):
+        if default and draw(st.booleans()):
+            continue
+        flag = draw(st.sampled_from(spec.split()))
+        glued = flag.startswith("--") and draw(st.booleans())  # written --flag=value
+        if isinstance(kind, tuple):
+            values = [draw(st.sampled_from(kind))]
+        elif kind is int:
+            values = [draw(st.integers(-20 if glued else 0, 3000).map(str) | st.sampled_from([" 4", "4_0", "٣"]))]
+        else:
+            # argparse reads --flag=-- as no value at all
+            names = _NAMES.filter(lambda name: name != "--" if glued else not name.startswith("-"))
+            values = draw(st.lists(names, min_size=1, max_size=1 if glued or kind is str else 3))
+        argv += [f"{flag}={values[0]}"] if glued else [flag, *values]
+    return argv
+
+
+def _mutate(draw, argv):
+    """argv with one token dropped, inserted, repeated, swapped, abbreviated, glued to the next or replaced."""
+    k = draw(st.integers(0, max(len(argv) - 1, 0)))
+    how = draw(st.sampled_from(["drop", "insert", "repeat", "swap", "abbreviate", "glue", "replace"]))
+    if how == "insert" or not argv:
+        token = draw(st.sampled_from(_ODD_TOKENS + _FLAGS) | st.sampled_from([3, None]))
+        return argv[:k] + [token] + argv[k:]
+    if how == "drop":
+        return argv[:k] + argv[k + 1:]
+    if how == "repeat":
+        return argv[:k] + argv[k:k + 1] * 2 + argv[k + 1:]
+    if how == "swap":
+        j, argv = draw(st.integers(0, len(argv) - 1)), list(argv)
+        argv[j], argv[k] = argv[k], argv[j]
+        return argv
+    texts = all(isinstance(token, str) for token in argv)
+    if how == "abbreviate" and texts and argv[k].startswith("--") and len(argv[k]) > 3:
+        return argv[:k] + [argv[k][:draw(st.integers(3, len(argv[k]) - 1))]] + argv[k + 1:]
+    if how == "glue" and texts and k + 1 < len(argv):  # -p3, -p=3, --flag=value
+        return argv[:k] + [argv[k] + draw(st.sampled_from(["", "="])) + argv[k + 1]] + argv[k + 2:]
+    return argv[:k] + [draw(st.sampled_from(_ODD_TOKENS))] + argv[k + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_args_agrees_with_argparse(data):
+    argv = data.draw(_well_formed_argvs())
+    assert vars(cli._read_args(argv)) == vars(_ARGPARSE.parse_args(argv))
+    for _ in range(data.draw(st.integers(1, 3))):
+        argv = _mutate(data.draw, argv)
+    read = cli._read_args(argv)
+    if read is not None:
+        assert vars(read) == vars(_ARGPARSE.parse_args(argv))
+
+
+LEFT_TO_ARGPARSE = [
+    ["-h"], ["homology", "-h"], ["ehp"], ["homology"], ["homology", "--spa", "S1"],
+    ["homology", "--space", "S1", "--space", "S2"], ["ehp", "classical", "-p3"], ["ehp", "classical", "-p=3"],
+    ["ehp", "classical", "-p", "-3"], ["james", "--space", "S1", "-n", "1e3"],
+    ["homology", "--space", "S1", "--format", "xml"], ["homology", "--", "--space", "S1"],
+    ["degree", "--map=identity", "flip", "--at", "0,0"], ["homology", "--space", 3], ("homology", "--space", "S1"),
+]
+
+
+@pytest.mark.parametrize("argv", LEFT_TO_ARGPARSE, ids=[repr(argv) for argv in LEFT_TO_ARGPARSE])
+def test_read_args_leaves_other_argvs_to_argparse(argv):
+    assert cli._read_args(argv) is None
+
+
+def test_workload_argvs_never_reach_argparse(tmp_path, monkeypatch, capsys):
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "workload_argvs.py")
+    argvs = []
+    for workload in ("homology_cold", "forms_stream"):
+        out = tmp_path / f"{workload}.json"
+        subprocess.run([sys.executable, tool, "--workload", workload, "--seed", "601", "--seed", "7",
+                        "--out", str(out)], check=True, capture_output=True, timeout=120)
+        argvs += json.loads(out.read_text())
+    assert len(argvs) == 1224
+    assert sum(any(token.startswith("--expr=-") for token in argv) for argv in argvs) == 74
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"argparse read {args}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    capsys.readouterr()

@@ -9,7 +9,10 @@ import functools
 import gc
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -707,3 +710,26 @@ class TestCollectorPause:
         inside.clear()
         product(S2, SSet.build("*", {"*": 0, "pause-named": 1}, {"pause-named": (PT, PT)}))
         assert inside and not any(inside)
+
+
+# names the generator that collapse refuses, in a child with a given string hash seed
+_COLLAPSE_OFFENDER = """
+from ehpcalc.simplicial import build_sphere, collapse, product
+P = product(build_sphere(1), build_sphere(1))
+try:
+    collapse(P, set(P.generators(2)))
+except Exception as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_collapse_names_the_first_offender_in_generator_order(hash_seed):
+    """Both 2-cells of S1 x S1 have faces outside the kill set; the one named
+    is the first in (dim, name) order, whatever the string hash seed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simplicial.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    done = subprocess.run([sys.executable, "-c", _COLLAPSE_OFFENDER], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "collapse set is not face-closed at '(s0.e1,s1.e1)'\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,16 @@ def test_bench_record_refuses_a_checkout_with_cached_bytecode(tmp_path, monkeypa
     assert bench_record.main(["--parent", str(parent), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"refusing to start: {cache} holds cached bytecode; delete it\n"
     assert not out.exists()
+
+
+def test_cold_ops_times_each_argv_twice_in_a_fresh_fork():
+    done = subprocess.run([sys.executable, str(TOOLS / "cold_ops.py"), "--workload", "homology_cold", "--seed", "601",
+                           "--limit", "3"], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    head, *runs = done.stdout.splitlines()
+    assert head == "homology_cold seed 601: 3 ops, each in a fresh fork, run 2 times"
+    assert [line.split(":")[0] for line in runs] == ["first run", "second run"]
+    for line in runs:
+        ms, faults, exits = re.fullmatch(r".* run: median ([\d.]+) ms, ([\d.]+) minor page faults, (\d+) nonzero exits",
+                                         line).groups()
+        assert float(ms) > 0 and float(faults) >= 0 and exits == "0"
