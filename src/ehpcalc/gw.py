@@ -17,7 +17,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, isqrt, prod
 
 from .errors import CapExceeded, DomainError, NormalFormUnavailable
@@ -29,10 +29,9 @@ RATIONALS = "rationals"
 
 # Trial division runs up to sqrt(n): about a million steps at this bound.
 TRIAL_DIVISION_BOUND = 10**12
-# A discrete-log table holds p - 1 entries; at most DLOG_TABLES_KEPT of them
-# stay cached at once.
+# A discrete log mod p walks up to p - 1 powers of each candidate generator
+# and keeps no table; p is capped here.
 DLOG_TABLE_CAP = 10**6
-DLOG_TABLES_KEPT = 8
 # Largest sum of |c| * (bits of a letter) over the terms of a Milnor part
 # over Qbar: its product then prints in under 4,300 decimal digits, the
 # interpreter's limit on converting an int to a string.
@@ -70,18 +69,20 @@ def _squarefree(n: int) -> int:
     return (1 if n > 0 else -1) * out * m
 
 
-@lru_cache(maxsize=DLOG_TABLES_KEPT)
-def _dlog_table(p: int) -> dict:
+def _dlog(x: int, p: int) -> int:
+    """Exponent of the unit x to the smallest generator of the units mod p."""
     if p > DLOG_TABLE_CAP:
         raise CapExceeded(f"discrete-log table: p = {p} exceeds the cap of {DLOG_TABLE_CAP}")
-    # powers of the smallest generator of the units mod p
-    for g in range(2, p):
-        table, acc = {}, 1
-        for e in range(p - 1):
-            table[acc] = e
+    for g in range(2, p):  # walk each candidate's powers once, up to 1, noting where x falls
+        acc, log = 1, 0
+        for e in range(1, p):
             acc = acc * g % p
-        if len(table) == p - 1:
-            return table
+            if acc == 1:
+                break
+            if acc == x:
+                log = e
+        if e == p - 1:  # the first candidate with p - 1 powers generates
+            return log
     raise DomainError("no multiplicative generator found")
 
 
@@ -273,12 +274,15 @@ class _FiniteOdd(_Kind):
         return num * pow(den, -1, self.p) % self.p
 
     def milnor_part(self, n: int, terms):
+        """Degree 1: one discrete log per symbol, of the product of a^c over
+        its terms c [a] in F_p, stretched to F_q by (q - 1)/(p - 1)."""
         if n >= 2:
             return 0
-        table = _dlog_table(self.p)
-        stretch = (self.q - 1) // (self.p - 1)
-        total = sum(coeff * table[letters[0]] * stretch for coeff, (s, letters) in terms if s == 0)
-        return total % (self.q - 1)
+        x = 1
+        for coeff, (s, letters) in terms:
+            if s == 0:
+                x = x * pow(letters[0], coeff % (self.p - 1), self.p) % self.p  # a^(p - 1) = 1
+        return _dlog(x, self.p) * ((self.q - 1) // (self.p - 1)) % (self.q - 1)
 
     def parts_match(self, n: int, milnor, witt) -> bool:
         if n >= 2:
@@ -450,6 +454,12 @@ def _check_digits(coefficients) -> None:
             raise CapExceeded(f"coefficient of {n.bit_length()} bits exceeds the cap of {DIGITS_CAP} digits")
 
 
+def _integer(coeff):
+    if not isinstance(coeff, int):
+        raise DomainError("coefficients must be integers")
+    return coeff
+
+
 def _element(field: Field, pairs) -> GWElement:
     """Normal form of the sum of n<rep> over the (rep, n) pairs."""
     net: dict = {}
@@ -462,7 +472,7 @@ def _element(field: Field, pairs) -> GWElement:
 
 def gw_make(field: Field, terms) -> GWElement:
     """Element from (integer coefficient, unit) terms, e.g. h = [(1, 1), (1, -1)]."""
-    return _element(field, ((square_class(field, a).rep, coeff) for coeff, a in terms))
+    return _element(field, ((square_class(field, a).rep, _integer(coeff)) for coeff, a in terms))
 
 
 def gw_zero(field: Field) -> GWElement:
@@ -508,6 +518,7 @@ def gw_mul(x: GWElement, y: GWElement) -> GWElement:
 
 
 def gw_scale(n: int, x: GWElement) -> GWElement:
+    _integer(n)
     return _element(x.field, ((rep, n * k) for rep, k in x.counts))
 
 

@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
-from .simplicial import SMASH_POWER_CAP, SSet
+from .simplicial import SMASH_POWER_CAP, SSet, _all_of_type
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,13 @@ class IntegerMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise DomainError("column count mismatch")
+        if not all(_all_of_type(row, int) for row in self.entries):
+            v = next(v for row in self.entries for v in row if type(v) is not int)
+            raise DomainError(f"matrix entry must be of type int, got {v!r}")
 
     @staticmethod
     def from_rows(rows_list, cols: int | None = None) -> "IntegerMatrix":
-        rows_list = [tuple(int(v) for v in row) for row in rows_list]
+        rows_list = [tuple(row) for row in rows_list]
         if cols is None:
             cols = len(rows_list[0]) if rows_list else 0
         return IntegerMatrix(len(rows_list), cols, tuple(rows_list))
@@ -170,16 +173,18 @@ def _smith(columns: Columns, certify: bool = False):
     pivots (row, col, value) in the order taken, whose absolute values are
     the invariant factors, each dividing the next, and U and V.
 
-    First +-1 pivots clear their rows from the other columns, shortest column
-    first and within it on the shortest row (Markowitz-style, to keep fill-in
-    low). With none left, the smallest entry is the pivot: a remainder in its
-    column or row becomes the next pivot (Euclid), and a row with an entry
-    the pivot does not divide is added to its row. With certify, the row
-    operations go into the sparse rows of U and the column operations into
-    the sparse columns of V (a vector never touched is a unit vector), so
-    U*M*V holds each pivot's value in its place, and after each pivot of
-    the Euclid stage the rows left are size-reduced against each other,
-    which keeps U and V small; otherwise U and V stay empty.
+    The matrix changes only by a column step (add_col) and a row step
+    (add_row). First +-1 pivots clear their rows from the other columns,
+    shortest column first and within it on the shortest row (Markowitz-
+    style, to keep fill-in low). With none left, the smallest entry is the
+    pivot: a remainder in its column or row becomes the next pivot
+    (Euclid), and a row with an entry the pivot does not divide is added
+    to its row. With certify, add_col records its steps in the sparse
+    columns of V, add_row and each +-1 pivot theirs in the sparse rows of
+    U (a vector never touched is a unit vector), so U*M*V holds each
+    pivot's value in its place, and after each pivot of the Euclid stage
+    the rows left are size-reduced against each other, which keeps U and
+    V small; otherwise U and V stay empty.
     """
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
     rows: dict[int, set[int]] = {}
@@ -189,6 +194,35 @@ def _smith(columns: Columns, certify: bool = False):
     U: dict[int, dict[int, int]] = {}
     V: dict[int, dict[int, int]] = {}
     pivots = []
+
+    def add_col(k, j, a):  # column k += a * column j, the one column step
+        ck = cols[k]
+        for s, v in cols[j].items():
+            w = ck.get(s, 0) + a * v
+            if w:
+                if s not in ck:
+                    rows[s].add(k)
+                ck[s] = w
+            else:
+                del ck[s]
+                rows[s].discard(k)
+        if certify:
+            _add(V, k, j, a)
+
+    def add_row(s, r, a):  # row s += a * row r, for s != r
+        for k in rows[r]:
+            ck = cols[k]
+            w = ck.get(s, 0) + a * ck[r]
+            if w:
+                if s not in ck:
+                    rows[s].add(k)
+                ck[s] = w
+            else:
+                del ck[s]
+                rows[s].discard(k)
+        if certify:
+            _add(U, s, r, a)
+
     heap = [(len(c), j) for j, c in cols.items()]
     heapq.heapify(heap)
     while heap:
@@ -206,17 +240,7 @@ def _smith(columns: Columns, certify: bool = False):
                 continue
             ck = cols[k]
             q = ck.pop(r) * p  # ck -= q * c clears row r, since p * p == 1
-            for s, v in c.items():
-                w = ck.get(s, 0) - q * v
-                if w:
-                    if s not in ck:
-                        rows[s].add(k)
-                    ck[s] = w
-                else:
-                    del ck[s]
-                    rows[s].discard(k)
-            if certify:
-                _add(V, k, j, -q)
+            add_col(k, j, -q)
             if ck:
                 heapq.heappush(heap, (len(ck), k))
             else:
@@ -228,28 +252,6 @@ def _smith(columns: Columns, certify: bool = False):
                 _add(U, s, r, -v * p)  # row r now meets column j only
         del cols[j]
         pivots.append((r, j, p))
-
-    def add(cells, a):  # cols[k][s] += a * v over the (k, s, v) cells
-        for k, s, v in cells:
-            ck = cols[k]
-            w = ck.get(s, 0) + a * v
-            if w:
-                if s not in ck:
-                    rows[s].add(k)
-                ck[s] = w
-            else:
-                del ck[s]
-                rows[s].discard(k)
-
-    def add_col(k, j, a):  # column k += a * column j
-        add([(k, s, v) for s, v in cols[j].items()], a)
-        if certify:
-            _add(V, k, j, a)
-
-    def add_row(s, r, a):  # row s += a * row r
-        add([(k, s, cols[k][r]) for k in rows[r]], a)
-        if certify:
-            _add(U, s, r, a)
 
     while entries := [(abs(v), r, j) for j, c in cols.items() for r, v in c.items()]:
         _, r, j = min(entries)

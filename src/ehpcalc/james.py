@@ -10,9 +10,9 @@ from functools import lru_cache, partial, reduce
 from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
-from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _simplex, _smash_class, _tuple_complex,
-                         collapse, degenerate, dimension_census, face, joint_normal_form, nondegenerate_tuples,
-                         pair_census, shared_degeneracies, simplex_token, smash, smash_census)
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _simplex, _smash_class,
+                         _tuple_complex, collapse, degenerate, dimension_census, face, joint_normal_form,
+                         nondegenerate_tuples, pair_census, shared_degeneracies, simplex_token, smash, smash_census)
 
 TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
@@ -76,6 +76,9 @@ class JamesWord:
     def __post_init__(self):
         if self.dim < 0:
             raise DomainError("negative word dimension")
+        if not _all_of_type(self.letters, Simplex):
+            i, x = next((i, x) for i, x in enumerate(self.letters) if type(x) is not Simplex)
+            raise DomainError(f"letter {i} is not a Simplex: {x!r}")
         kept = []
         for x in self.letters:
             if x.dim != self.dim:

@@ -19,6 +19,7 @@ from .gw import (
     Field,
     GWElement,
     _check_digits,
+    _integer,
     gw_add,
     gw_make,
     gw_mul,
@@ -85,9 +86,7 @@ def _build(field: Field, items) -> KMWSymbol:
     the rest share the degree of the first."""
     acc: dict = {}
     for coeff, (s, letters) in items:
-        # checked here, before a non-integer could be summed into a count
-        if not isinstance(coeff, int):
-            raise DomainError("coefficients must be integers")
+        _integer(coeff)  # checked here, before a non-integer could be summed into a count
         if not any(a == 1 for a in letters):
             key = (s, tuple(letters))
             acc[key] = acc.get(key, 0) + coeff

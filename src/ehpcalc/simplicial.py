@@ -593,6 +593,9 @@ class SMap:
     def build(source: SSet, target: SSet, images: dict[str, Simplex]) -> "SMap":
         if set(images) != set(source.generators()):
             raise DomainError("images must cover exactly the source generators")
+        if not _all_of_type(images.values(), Simplex):
+            name, x = next((n, x) for n, x in images.items() if type(x) is not Simplex)
+            raise DomainError(f"image of {name!r} is not a Simplex: {x!r}")
         if images[source.basepoint] != target.basepoint_simplex(0):
             raise DomainError("a pointed map must send basepoint to basepoint")
         f = SMap(source, target, {name: images[name] for name in source.generators()})
@@ -718,6 +721,6 @@ def sset_dumps(K: SSet) -> str:
 def sset_loads(text: str) -> SSet:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the recursion limit
         raise ExprParseError(f"not valid JSON: {exc}") from exc
     return sset_from_doc(doc)

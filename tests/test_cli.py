@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -748,6 +749,61 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# Reads a JSON list of argvs on stdin and runs each through main in its own
+# child, forked from this one process after its one import of ehpcalc.cli,
+# with 600 s to finish. Prints one JSON line per argv: the exit code (minus
+# the signal number for a child that was killed, as subprocess gives it),
+# stdout, stderr, and the traceback of an exception other than SystemExit,
+# which an interpreter would print before exiting 1.
+_CHILD_DRIVER = """
+import contextlib, io, json, os, signal, sys, traceback
+from ehpcalc.cli import main
+for argv in json.load(sys.stdin):
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            signal.alarm(600)
+            out, err, tb = io.StringIO(), io.StringIO(), None
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except BaseException:
+                    code, tb = 1, traceback.format_exc()
+            with os.fdopen(w, "w") as f:
+                json.dump([code, out.getvalue(), err.getvalue(), tb], f)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as f:
+        record = f.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    print(record if status == 0 and record else json.dumps([status, "", "", None]), flush=True)
+"""
+
+
+class _Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+    traceback: str | None
+
+
+def _run_in_one_child(argvs):
+    """Each argv's run, from one child under the address-space limit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _CHILD_DRIVER], input=json.dumps(argvs),
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          preexec_fn=_limit_address_space, timeout=600)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+    runs = [_Run(*json.loads(line)) for line in done.stdout.splitlines()]
+    assert len(runs) == len(argvs)
+    return runs
+
+
 # Hopf letters are named without building a smash power: a 10-letter word
 # at r = 4 answers, and any r past the word length gives the empty word "*".
 _TEN_LETTERS = "abcdeabcde"
@@ -789,14 +845,19 @@ BOUNDED_INPUTS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def bounded_runs():
+    """The run of each bounded input, by its JSON text; one child runs them all."""
+    runs = _run_in_one_child([argv for argv, _ in BOUNDED_INPUTS])
+    return {json.dumps(argv): run for (argv, _), run in zip(BOUNDED_INPUTS, runs)}
+
+
 @pytest.mark.parametrize("argv, stdout", BOUNDED_INPUTS, ids=[_golden_id(a) for a, _ in BOUNDED_INPUTS])
-def test_bounded_inputs_end_cleanly_in_a_child(argv, stdout):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "ehpcalc.cli", *argv], env=env, capture_output=True,
-                          text=True, preexec_fn=_limit_address_space, timeout=600)
+def test_bounded_inputs_end_cleanly_in_a_child(argv, stdout, bounded_runs):
+    done = bounded_runs[json.dumps(argv)]
     assert done.returncode in (0, 1, 2)
     assert "Traceback" not in done.stderr
+    assert done.traceback is None
     if stdout is None:
         assert done.returncode == 1 and done.stderr.startswith("error: ")
     else:
@@ -852,32 +913,14 @@ _FUZZ_COMMANDS = st.one_of(
 _FUZZ_ARGV = st.builds(lambda command, fmt: list(command + fmt), _FUZZ_COMMANDS,
                        st.sampled_from([(), ("--format", "json")]))
 
-# reads a JSON list of argvs on stdin and prints each exit code; an
-# exception other than SystemExit ends the child with a traceback
-_FUZZ_DRIVER = """
-import contextlib, io, json, sys
-from ehpcalc.cli import main
-for argv in json.load(sys.stdin):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    print(json.dumps(code))
-"""
-
-
 @settings(max_examples=3, deadline=None, suppress_health_check=list(HealthCheck))
 @given(argvs=st.lists(_FUZZ_ARGV, min_size=30, max_size=30))
 def test_drawn_argvs_end_cleanly_in_a_child(argvs):
     """Every drawn argv exits 0, 1 or 2 with no traceback, under the same
     address-space limit as the bounded inputs; one child runs a batch."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ehpcalc.__file__)))
-    done = subprocess.run([sys.executable, "-c", _FUZZ_DRIVER], input=json.dumps(argvs),
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                          preexec_fn=_limit_address_space, timeout=600)
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
-    codes = [json.loads(line) for line in done.stdout.splitlines()]
+    runs = _run_in_one_child(argvs)
+    assert not [(argv, run.traceback) for argv, run in zip(argvs, runs) if run.traceback]
+    codes = [run.returncode for run in runs]
     assert len(codes) == len(argvs) and set(codes) <= {0, 1, 2}, list(zip(argvs, codes))
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehpcalc.errors import DomainError
 from ehpcalc.gw import (
-    DLOG_TABLES_KEPT,
-    _dlog_table,
+    _dlog,
     Field,
     exchange_class,
     finite_odd,
@@ -100,6 +99,10 @@ REFUSALS = [
      "square classes live over different fields"),
     ("IdealPower: across fields", lambda: fundamental_ideal_power(F5, 2).contains(gw_one(F7)),
      "element lives over a different field"),
+    ("gw_make: float coefficient", lambda: gw_make(QQ, [(1.5, 2)]), "coefficients must be integers"),
+    ("gw_make: fraction coefficient", lambda: gw_make(F5, [(Fraction(1, 2), 2)]), "coefficients must be integers"),
+    ("gw_scale: float factor", lambda: gw_scale(0.5, gw_one(RC)), "coefficients must be integers"),
+    ("gw_scale: float factor on zero", lambda: gw_scale(0.5, gw_zero(RC)), "coefficients must be integers"),
 ]
 
 
@@ -422,14 +425,13 @@ class TestIdealPowers:
         with pytest.raises(DomainError):
             fundamental_ideal_power(QQ, 2).contains(gw_one(QQ))
 
-    def test_discrete_log_tables_kept_are_bounded(self):
-        _dlog_table.cache_clear()
-        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
-        for p in primes:
-            assert len(_dlog_table(p)) == p - 1
-        info = _dlog_table.cache_info()
-        assert info.maxsize == DLOG_TABLES_KEPT == 8
-        assert info.currsize == 8 and info.misses == len(primes)
+    def test_discrete_log_is_to_the_smallest_generator(self):
+        # 2 has order 3 mod 7, so 3 is the smallest generator there
+        assert [_dlog(x, 7) for x in range(1, 7)] == [0, 2, 1, 4, 5, 3]
+        for p in [3, 5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 71, 191]:
+            g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+            assert [pow(g, _dlog(x, p), p) for x in range(1, p)] == list(range(1, p))
+            assert all(0 <= _dlog(x, p) < p - 1 for x in range(1, p))
 
     def test_scale_helper(self):
         assert gw_scale(3, gw_one(RC)) == gw_make(RC, [(3, 1)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +344,15 @@ REFUSALS = [
     ("IntegerMatrix: column count", lambda: IntegerMatrix(1, 2, ((1,),)), "column count mismatch"),
     ("IntegerMatrix: product shapes", lambda: IntegerMatrix.identity(2) @ IntegerMatrix.identity(3),
      "matrix shapes do not compose"),
+    ("IntegerMatrix: float entries", lambda: IntegerMatrix(1, 2, ((1.5, 2.5),)),
+     "matrix entry must be of type int, got 1.5"),
+    ("IntegerMatrix: bool entry", lambda: IntegerMatrix(1, 1, ((True,),)), "matrix entry must be of type int, got True"),
+    ("from_rows: float", lambda: IntegerMatrix.from_rows([[2.9]]), "matrix entry must be of type int, got 2.9"),
+    ("from_rows: fraction", lambda: IntegerMatrix.from_rows([[1, Fraction(5, 2)]]),
+     "matrix entry must be of type int, got Fraction(5, 2)"),
+    ("from_rows: string", lambda: IntegerMatrix.from_rows([["3"]]), "matrix entry must be of type int, got '3'"),
+    ("smith_normal_form: float entry", lambda: smith_normal_form(IntegerMatrix.from_rows([[1.5, 2]])),
+     "matrix entry must be of type int, got 1.5"),
     ("HomologyGroup: negative rank", lambda: HomologyGroup(-1), "negative free rank"),
 ]
 

@@ -143,6 +143,7 @@ REFUSALS = [
     ("JamesWord: negative dimension", lambda: JamesWord(S1, -1, ()), "negative word dimension"),
     ("JamesWord: letter not in the complex", lambda: JamesWord(S1, 1, (Simplex("*", (), 1),)),
      "letter does not live in the complex"),
+    ("JamesWord: letter not a Simplex", lambda: JamesWord(S1, 1, ("x",)), "letter 0 is not a Simplex: 'x'"),
     ("james_hopf_letters: r = 0", lambda: james_hopf_letters(JamesWord(S1, 1, (S1.simplex("e1"),)), 0),
      "subsequence length must be >= 1"),
     ("james_hopf_map: n = 0", lambda: james_hopf_map(S1, 0, 2), "levels must be >= 1"),

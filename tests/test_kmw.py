@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
@@ -110,6 +111,14 @@ class TestSymbols:
             kmw_scale(Fraction(1, 2), kmw_bracket(F5, 2))
         with pytest.raises(DomainError):
             KMWSymbol(F5, 1, ((0, (0, (2,))),))
+        for degree, terms, text in [
+            (2, ((1, (-1, (2,))),), "eta exponents must be non-negative integers"),
+            (1, ((1, (0, (1,))),), "a bracket at 1 is zero and must be dropped"),
+            (1, ((1, (0, (2,))), (1, (0, (2, 3)))), "terms must share one degree"),
+            (0, (), "the empty combination carries no degree"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                KMWSymbol(F5, degree, terms)
 
     def test_eta_is_central(self):
         b = kmw_bracket(F5, 3)

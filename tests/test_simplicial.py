@@ -41,6 +41,7 @@ from ehpcalc.simplicial import (
     product_with_pairs,
     simplex_token,
     sset_dumps,
+    sset_from_doc,
     sset_loads,
     smash,
     smash_census,
@@ -631,6 +632,9 @@ V = Simplex("v", (), 0)
 EDGE = SSet.build("*", {"*": 0, "v": 0, "a": 1}, {"a": (V, PT)})
 E0 = S0.simplex("e0")
 
+# the json decoder's text for a document nested past the recursion limit
+DEEP_JSON = "not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
 # Refusals of the constructors, lookups, maps and loader, with their texts.
 REFUSALS = [
     ("build: basepoint not a vertex", lambda: SSet.build("a", {"*": 0, "a": 1}, {"a": (PT, PT)}),
@@ -657,8 +661,20 @@ REFUSALS = [
      "not simplicial at generator 'a', face 1"),
     ("compose: middle mismatch", lambda: compose(identity_map(S1), identity_map(S2)),
      "compose needs matching middle complex"),
+    ("SMap.build: image not a Simplex", lambda: SMap.build(S1, S1, {"*": PT, "e1": "junk"}),
+     "image of 'e1' is not a Simplex: 'junk'"),
+    ("insert_degeneracy: negative index", lambda: insert_degeneracy((), -1),
+     "degeneracy index must be nonnegative, got -1"),
+    ("smash_class: dimensions differ", lambda: smash_class(S1, S1, S1.simplex("e1"), S1.basepoint_simplex(2)),
+     "component dimensions differ: 1 vs 2"),
+    ("sset_from_doc: no basepoint", lambda: sset_from_doc({"generators": []}),
+     "malformed simplicial-set document: 'basepoint'"),
     ("sset_loads: not JSON", lambda: sset_loads("{"),
      "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("sset_loads: lists nested 1,000 deep", lambda: sset_loads("[" * 1000 + "]" * 1000), DEEP_JSON),
+    ("sset_loads: lists nested 100,000 deep", lambda: sset_loads("[" * 100_000 + "]" * 100_000), DEEP_JSON),
+    ("sset_loads: deep list in a document",
+     lambda: sset_loads('{"basepoint": "*", "generators": ' + "[" * 5000 + "]" * 5000 + "}"), DEEP_JSON),
 ]
 
 
