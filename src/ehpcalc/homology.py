@@ -280,14 +280,18 @@ def _smith(columns: Columns, certify: bool = False):
             shrunk = True
             while shrunk:  # subtract the nearest multiple of another row while that shortens a row
                 shrunk = False
+                seen: dict[int, tuple[dict[int, int], int]] = {}  # row -> (entries, squared norm) until it changes
                 for a in live:
-                    for b in live:
-                        vb = {k: cols[k][b] for k in rows[b]}
-                        nb = sum(v * v for v in vb.values())
+                    for b in filter(a.__ne__, live):
+                        if b not in seen:
+                            vb = {k: cols[k][b] for k in rows[b]}
+                            seen[b] = vb, sum(v * v for v in vb.values())
+                        vb, nb = seen[b]
                         dot = sum(v * cols[k].get(a, 0) for k, v in vb.items())
-                        q = (2 * dot + nb) // (2 * nb) if a != b and nb else 0
+                        q = (2 * dot + nb) // (2 * nb) if nb else 0
                         if q and 2 * q * dot > q * q * nb:
                             add_row(a, b, -q)
+                            seen.pop(a, None)  # only row a changed
                             shrunk = True
     return pivots, U, V
 

@@ -10,9 +10,9 @@ from functools import lru_cache, partial, reduce
 from operator import attrgetter
 
 from .errors import CapExceeded, DomainError
-from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _simplex, _smash_class,
-                         _tuple_complex, collapse, degenerate, dimension_census, face, joint_normal_form,
-                         nondegenerate_tuples, pair_census, shared_degeneracies, simplex_token, smash, smash_census)
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _joint_normal_form,
+                         _letters, _shared, _simplex, _smash_class, _tuple_complex, collapse, degenerate,
+                         dimension_census, face, nondegenerate_tuples, pair_census, simplex_token, smash, smash_census)
 
 TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
@@ -83,7 +83,7 @@ class JamesWord:
         for x in self.letters:
             if x.dim != self.dim:
                 raise DomainError("letters must all have the word dimension")
-            if self.complex.dim_of(x.generator) + len(x.word) != x.dim:
+            if self.complex.dim_of(x.generator) + x.mask.bit_count() != x.dim:
                 raise DomainError("letter does not live in the complex")
             if x.generator != self.complex.basepoint:
                 kept.append(x)
@@ -118,7 +118,7 @@ def word_degenerate(w: JamesWord, i: int) -> JamesWord:
 
 def word_is_degenerate(w: JamesWord) -> bool:
     # an empty word is degenerate in every positive dimension
-    return bool(shared_degeneracies(w.letters, w.dim))
+    return bool(_shared(w.letters, w.dim))
 
 
 def word_token(w: JamesWord) -> str:
@@ -128,9 +128,9 @@ def word_token(w: JamesWord) -> str:
 
 
 def word_normal_form(w: JamesWord) -> tuple[tuple[int, ...], JamesWord]:
-    """Shared degeneracy word and the nondegenerate core word under it."""
-    word, cores = joint_normal_form(w.letters, w.dim)
-    return word, _word(w.complex, w.dim - len(word), cores)
+    """Shared degeneracy word, as a tuple, and the nondegenerate core word under it."""
+    word, cores = _joint_normal_form(w.letters, w.dim)
+    return _letters(word), _word(w.complex, w.dim - word.bit_count(), cores)
 
 
 def truncation_census(census: dict[int, int], n: int, quotient: bool = False) -> Counter:
@@ -195,7 +195,7 @@ def james_words(K: SSet, n: int) -> dict[str, JamesWord]:
 def suspension_unit_E(K: SSet, n: int) -> SMap:
     """One-letter-word inclusion of K into its level-n truncation."""
     J, _ = _james_data(K, n)
-    images = {g: _simplex(f"[{g}]", (), d) for g, d in K.gens if g != K.basepoint}  # the cells [g]
+    images = {g: _simplex(f"[{g}]", 0, d) for g, d in K.gens if g != K.basepoint}  # the cells [g]
     return SMap.build(K, J, images | {K.basepoint: J.basepoint_simplex(0)})
 
 
@@ -265,7 +265,7 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
     images, cells = {}, {}
     for name, w in words.items():
         # the kept classes commute with their shared degeneracies
-        word, core = joint_normal_form(kept([x for xs in _subsequences(w, r) for x in xs]), w.dim)
+        word, core = _joint_normal_form(kept([x for xs in _subsequences(w, r) for x in xs]), w.dim)
         token = "|".join(simplex_token(power_class(core[k:k + r])) for k in range(0, len(core), r))
         images[name] = _simplex(f"[{token}]" if token else "*", word, w.dim)
         cells[images[name].generator] = core  # the empty word is the basepoint cell
@@ -280,8 +280,8 @@ def james_map(f: SMap, n: int) -> SMap:
     Jt, _ = _james_data(f.target, n)
     images = {"*": Jt.basepoint_simplex(0)}
     for name, w in words.items():
-        word, core = word_normal_form(JamesWord(f.target, w.dim, tuple(f(x) for x in w.letters)))
-        images[name] = _simplex(word_token(core), word, w.dim)
+        word, core = _joint_normal_form(JamesWord(f.target, w.dim, tuple(map(f, w.letters))).letters, w.dim)
+        images[name] = _simplex(word_token(_word(f.target, w.dim - word.bit_count(), core)), word, w.dim)
     return SMap.build(Js, Jt, images)
 
 
@@ -298,7 +298,7 @@ def james_quotient(K: SSet, n: int) -> tuple[SSet, dict[str, str]]:
     images[Q.basepoint] = P.basepoint_simplex(0)
     SMap.build(Q, P, images)
     witness = {name: x.generator for name, x in images.items()}
-    if any(x.word for x in images.values()) or sorted(witness.values()) != sorted(P.generators()):
+    if any(x.mask for x in images.values()) or sorted(witness.values()) != sorted(P.generators()):
         raise DomainError("quotient did not match the smash power")
     return Q, witness
 

@@ -8,12 +8,12 @@ enforced mechanically on construction.
 Normal-form rule: by the Eilenberg-Zilber lemma a simplex x = s_W(y), with
 y nondegenerate and W a strictly decreasing word, lies in the image of s_i
 exactly when i is a letter of W (May, Simplicial Objects in Algebraic
-Topology, 1967, section 4). So degeneracy tests and shared normal forms are
-word arithmetic and need no face calls.
+Topology, 1967, section 4). So W is held as an int bitmask (bit i set iff
+i is a letter): degeneracy tests, faces and shared normal forms are a few int
+operations, and the tuple of letters is only a view, for text and tuple APIs.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import gc
 import itertools
@@ -28,13 +28,35 @@ from typing import NamedTuple
 from .errors import CapExceeded, DomainError, ExprParseError
 from .gw import DIGITS_CAP
 
-# Largest sphere dimension built: the face table of the one generator of
-# S^n holds n + 1 words of length n - 1, and building and checking it takes
-# memory growing about as n^3.
+# Largest sphere dimension built: a product or smash with S^n checks the
+# simplicial identities on about n cells of dimension about n, each over
+# n^2 / 2 pairs of faces, so its time grows about as n^3.
 SPHERE_DIM_CAP = 256
 # Most generators of a product, smash or smash power, counted before it is
 # built (the cube of a wedge of eight circles has 6,657); most Hopf letters.
 SMASH_POWER_CAP = 25_000
+_mask_of = operator.itemgetter(1)  # a Simplex's mask
+
+
+def _letters(mask: int) -> tuple[int, ...]:
+    """The strictly decreasing word of a mask: its set bits, highest first."""
+    return tuple(i for i in range(mask.bit_length() - 1, -1, -1) if mask >> i & 1)
+
+
+def _insert(mask: int, bits: int) -> int:
+    """s_bits composed onto s_mask, in normal form: each letter i of bits, lowest
+    first, is set and every letter at or above it raised (s_i s_j = s_{j+1} s_i, i <= j)."""
+    while bits:
+        low = bits & -bits
+        a = low.bit_length() - 1
+        mask, bits = mask & low - 1 | low | mask >> a << a + 1, bits ^ low
+    return mask
+
+
+def _bad_index(i, kind: str, dim: int) -> DomainError:
+    """The refusal of an index that is not exactly an int (a bool is not one), or out of range."""
+    return DomainError(f"{kind} index must be of type int, got {i!r}" if type(i) is not int
+                       else f"{kind} index {i} out of range for dim {dim}")
 
 
 def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -42,7 +64,7 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
 
     Words are strictly decreasing tuples (i_k, ..., i_1) denoting
     s_{i_k} ... s_{i_1}, leftmost entry outermost.  Uses the identity
-    s_i s_j = s_{j+1} s_i for i <= j.
+    s_i s_j = s_{j+1} s_i for i <= j, on the word's bitmask (see _insert).
 
     >>> insert_degeneracy((), 0)
     (0,)
@@ -53,44 +75,49 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     """
     if i < 0:
         raise DomainError(f"degeneracy index must be nonnegative, got {i}")
-    k = 0
-    while k < len(word) and word[k] >= i:
-        k += 1
-    return tuple(j + 1 for j in word[:k]) + (i,) + word[k:]
+    return _letters(_insert(sum(map((1).__lshift__, word)), 1 << i))
 
 
 class _SimplexFields(NamedTuple):
     generator: str
-    word: tuple[int, ...]
+    mask: int
     dim: int
 
 
 class Simplex(_SimplexFields):
-    """A simplex of some complex: the tuple (generator, word, dim), so it
-    hashes and compares as that tuple does.
-
-    dim equals the generator's dimension plus the word length; the word is
-    strictly decreasing (normal form), so nondegenerate iff word == ().
+    """A simplex of some complex: the tuple (generator, mask, dim), so it
+    hashes and compares as that tuple does. Bit i of mask is set iff s_i is
+    a letter of the normal-form degeneracy word, whose strictly decreasing
+    tuple is word, made when read. Built, and checked, from that tuple;
+    dim is the generator's dimension plus the word length.
     """
 
     __slots__ = ()
 
     def __new__(cls, generator: str, word: tuple[int, ...], dim: int) -> "Simplex":
-        for a, b in zip(word, word[1:]):
-            if a <= b:
-                raise DomainError(f"degeneracy word {word} is not strictly decreasing")
-        if word and word[0] >= dim:
-            raise DomainError(f"degeneracy index {word[0]} out of range for dim {dim}")
-        return tuple.__new__(cls, (generator, word, dim))
+        if not _all_of_type(word, int):
+            raise _bad_index(next(i for i in word if type(i) is not int), "degeneracy", dim)
+        if not all(map(operator.gt, word, word[1:])):
+            raise DomainError(f"degeneracy word {word} is not strictly decreasing")
+        if word and not 0 <= word[-1] <= word[0] < dim:
+            raise _bad_index(word[0] if word[0] >= dim else word[-1], "degeneracy", dim)
+        return tuple.__new__(cls, (generator, sum(map((1).__lshift__, word)), dim))
+
+    def __getnewargs__(self):  # copies and pickles rebuild from the tuple word
+        return self.generator, self.word, self.dim
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        return _letters(self.mask)
 
     @property
     def is_degenerate(self) -> bool:
-        return bool(self.word)
+        return bool(self.mask)
 
 
-def _simplex(generator: str, word: tuple[int, ...], dim: int) -> Simplex:
-    """A Simplex whose word is normal by construction, built without the check."""
-    return tuple.__new__(Simplex, (generator, word, dim))
+def _simplex(generator: str, mask: int, dim: int) -> Simplex:
+    """A Simplex whose mask is normal by construction, built without the check."""
+    return tuple.__new__(Simplex, (generator, mask, dim))
 
 
 def _all_of_type(values, kind: type) -> bool:
@@ -152,7 +179,7 @@ class SSet:
                 raise DomainError(f"dimension-0 generator {name!r} cannot have faces")
             if d > 0 and (name not in faces or len(faces[name]) != d + 1):
                 raise DomainError(f"generator {name!r} needs exactly {d + 1} faces")
-        dims = dict(sorted(dims.items(), key=operator.itemgetter(1, 0)))
+        dims = {n: dims[n] for n in sorted(sorted(dims), key=dims.__getitem__)}  # names sorted within each dim
         faces = {n: tuple(faces[n]) for n, d in dims.items() if d > 0}
         if not _all_of_type(itertools.chain.from_iterable(faces.values()), Simplex):
             name, i, f = next((n, i, f) for n, fs in faces.items() for i, f in enumerate(fs) if type(f) is not Simplex)
@@ -171,10 +198,10 @@ class SSet:
             if first.setdefault(faces, name) != name:
                 continue
             d = len(faces) - 1
-            for i, (generator, word, dim) in enumerate(faces):
+            for i, (generator, mask, dim) in enumerate(faces):
                 if (at := self._dims.get(generator)) is None:
                     raise DomainError(f"face {i} of {name!r} references unknown generator {generator!r}")
-                if dim != d - 1 or at + len(word) != dim:
+                if dim != d - 1 or at + mask.bit_count() != dim:
                     raise DomainError(f"face {i} of {name!r} has inconsistent dimension")
         # ff[j][i] = d_i d_j x: a nondegenerate face's faces are its row of the
         # table, and a degenerate one's are computed once per distinct simplex
@@ -185,9 +212,9 @@ class SSet:
                 continue
             ff = []
             for f in faces:
-                if f.word and f not in faces_of:
+                if f.mask and f not in faces_of:
                     faces_of[f] = tuple(face(self, f, i) for i in range(d))
-                ff.append(faces_of[f] if f.word else self._faces[f.generator])
+                ff.append(faces_of[f] if f.mask else self._faces[f.generator])
             column = tuple(zip(*ff))  # column[j - 1][i] = d_{j-1} d_i x
             for j in range(1, d + 1):  # all i < j at once, then the first i that fails
                 if ff[j][:j] != column[j - 1][:j]:
@@ -225,69 +252,72 @@ class SSet:
 
     def basepoint_simplex(self, dim: int) -> Simplex:
         """The unique simplex over the basepoint in each dimension."""
-        return _simplex(self.basepoint, tuple(range(dim - 1, -1, -1)), dim)
+        return _simplex(self.basepoint, (1 << dim) - 1, dim)
 
     def simplices(self, dim: int) -> tuple[Simplex, ...]:
         """All simplices of the given dimension, degenerate ones included."""
-        out = []
+        out, full = [], (1 << dim) - 1
         for name, d in self.gens:
-            if d > dim:
-                continue
-            for idx in itertools.combinations(range(dim), dim - d):
-                out.append(_simplex(name, tuple(reversed(idx)), dim))
+            if d <= dim:  # words in lexicographic order: their complements, of d indices, in reverse order
+                out += [_simplex(name, full ^ sum(map((1).__lshift__, rest)), dim)
+                        for rest in itertools.combinations(range(dim), d)][::-1]
         return tuple(out)
 
 
 def degenerate(x: Simplex, i: int) -> Simplex:
     """s_i applied to x, in normal form."""
-    if not 0 <= i <= x.dim:
-        raise DomainError(f"degeneracy index {i} out of range for dim {x.dim}")
-    return _simplex(x.generator, insert_degeneracy(x.word, i), x.dim + 1)
+    if type(i) is not int or not 0 <= i <= x.dim:
+        raise _bad_index(i, "degeneracy", x.dim)
+    return _simplex(x.generator, _insert(x.mask, 1 << i), x.dim + 1)
 
 
 def face(K: SSet, x: Simplex, i: int) -> Simplex:
     """d_i applied to x, commuted into normal form via the simplicial identities.
 
-    Walks the word outermost first: d_i s_a = s_{a-1} d_i for i < a,
-    d_i s_a = id for i in (a, a+1), and d_i s_a = s_a d_{i-1} for i > a+1.
+    On x = s_W(y), with W a bitmask: as d_i s_a = id for a in (i - 1, i), a letter
+    there is dropped and those above it lowered. Otherwise d_i x = s_W' d_k y with
+    k = i less the letters below i and W' = W less i, W' inserted onto d_k y's word.
     """
-    dim, word = x.dim, x.word
+    generator, mask, dim = x
     if dim == 0:
         raise DomainError("a 0-simplex has no faces")
-    if not 0 <= i <= dim:
-        raise DomainError(f"face index {i} out of range for dim {dim}")
-    if len(word) == dim:  # over a vertex: the one (dim-1)-simplex there
-        return _simplex(x.generator, word[1:], dim - 1)
-    outer: list[int] = []  # degeneracies pulled out, outermost first
-    for k, a in enumerate(word):
-        if i < a:
-            outer.append(a - 1)
-        elif i <= a + 1:
-            # outer letters all exceed word[k + 1], so this is normal
-            return _simplex(x.generator, tuple(outer) + word[k + 1:], dim - 1)
-        else:
-            outer.append(a)
-            i -= 1
-    f = K.faces_of(x.generator)[i]
-    if not outer:
+    if type(i) is not int or not 0 <= i <= dim:
+        raise _bad_index(i, "face", dim)
+    if mask & 3 << i >> 1:  # bit i - 1 or bit i: drop it
+        a = i if mask >> i & 1 else i - 1
+        return _simplex(generator, mask & (1 << a) - 1 | mask >> a + 1 << a, dim - 1)
+    f = K.faces_of(generator)[i - (mask & (1 << i) - 1).bit_count()]
+    if not mask:
         return f
-    w = f.word
-    for a in reversed(outer):
-        w = insert_degeneracy(w, a)
-    return _simplex(f.generator, w, dim - 1)
+    outer = mask & (1 << i) - 1 | mask >> i + 1 << i
+    return _simplex(f.generator, _insert(f.mask, outer) if f.mask else outer, dim - 1)
 
 
 def in_degeneracy_image(K: SSet, x: Simplex, i: int) -> bool:
     """True iff x = s_i(y) for some y (then y = d_i(x)): i is in x's word."""
-    return i in x.word
+    return 0 <= i and x.mask >> i & 1 == 1
+
+
+def _shared(xs: tuple[Simplex, ...], dim: int) -> int:
+    """The mask of the letters every x has; of all of range(dim) if xs is empty."""
+    return functools.reduce(operator.and_, map(_mask_of, xs), (1 << dim) - 1)
 
 
 def shared_degeneracies(xs: tuple[Simplex, ...], dim: int) -> set[int]:
     """Indices i with every x in the image of s_i; all of range(dim) if xs is empty."""
-    if not xs:
-        return set(range(dim))
-    first = set(xs[0].word)
-    return first.intersection(*map(operator.attrgetter("word"), xs[1:])) if first else first
+    return set(_letters(_shared(xs, dim)))
+
+
+def _joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[int, tuple[Simplex, ...]]:
+    """joint_normal_form with the shared word as a mask: the AND of the
+    masks, each core's other bits squeezed down past the shared ones."""
+    shared = _shared(xs, dim)
+    if not shared:
+        return 0, xs
+    cores = xs
+    for a in _letters(shared):  # highest first, so the letters below a stay put
+        cores = [_simplex(g, m & (1 << a) - 1 | m >> a + 1 << a, d - 1) for g, m, d in cores]
+    return shared, tuple(cores)
 
 
 def joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[tuple[int, ...], tuple[Simplex, ...]]:
@@ -296,17 +326,11 @@ def joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[tuple[int, ...
     Returns (word, cores) with xs = s_word applied componentwise to cores
     and the cores jointly nondegenerate.  An empty tuple strips all the
     way down to dimension 0.  The shared word is the intersection S of the
-    words; each core keeps its other letters, each lowered by the number
-    of letters of S below it.
+    words, the AND of their masks; each core keeps its other letters, each
+    lowered by the number of letters of S below it. The word is a tuple.
     """
-    shared = shared_degeneracies(xs, dim)
-    if not shared:
-        return (), xs
-    low = sorted(shared)
-    cores = tuple(
-        _simplex(x.generator, tuple(j - bisect.bisect(low, j) for j in x.word if j not in shared), dim - len(low))
-        for x in xs)
-    return tuple(reversed(low)), cores
+    shared, cores = _joint_normal_form(xs, dim)
+    return _letters(shared), cores
 
 
 def dimension_census(K: SSet, basepoint: bool) -> dict[int, int]:
@@ -317,21 +341,17 @@ def dimension_census(K: SSet, basepoint: bool) -> dict[int, int]:
 def nondegenerate_tuples(choices, m: int, power: int = 1):
     """The jointly nondegenerate tuples of m-simplices, one from each list of
     choices, the list of choices repeated power times, in itertools.product
-    order: with words as bit masks, an entry of the last list completes a
-    prefix when it has none of its shared bits. Tuples can be long, so each
-    list is masked once and each prefix is read in map."""
-    *heads, last = [tuple((x, sum(1 << i for i in x.word)) for x in xs) for xs in choices] * power
-    first, second = operator.itemgetter(0), operator.itemgetter(1)
+    order: an entry of the last list completes a prefix when its mask has
+    none of the prefix's shared bits."""
+    *heads, last = list(map(tuple, choices)) * power
     for prefix in itertools.product(*heads):
-        shared = functools.reduce(operator.and_, map(second, prefix), (1 << m) - 1)
-        xs = tuple(map(first, prefix))
-        yield from (xs + (x,) for x, bits in last if not shared & bits)
+        shared = _shared(prefix, m)
+        yield from (prefix + (x,) for x in last if not shared & x.mask)
 
 
 def simplex_token(x: Simplex) -> str:
     """Compact name for a simplex: degeneracy prefixes joined with dots."""
-    parts = [f"s{i}" for i in x.word] + [x.generator]
-    return ".".join(parts)
+    return ".".join([f"s{i}" for i in x.word] + [x.generator]) if x.mask else x.generator
 
 
 # -- constructors -------------------------------------------------------
@@ -365,7 +385,7 @@ def _wedge_of_spheres(dims: dict[str, int]) -> SSet:
     """The wedge of spheres on the basepoint "*", one generator of each
     given name and dimension with every face over the basepoint; the names
     are checked in sorted order."""
-    faces = {n: (_simplex("*", tuple(range(d - 2, -1, -1)), d - 1),) * (d + 1)
+    faces = {n: (_simplex("*", (1 << d - 1) - 1, d - 1),) * (d + 1)
              for n, d in dims.items() if d > 0}
     return SSet.build("*", {"*": 0} | dict(sorted(dims.items())), faces)
 
@@ -448,28 +468,30 @@ def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
     named once. Face i of a cell takes its entries' faces i, lets reduce
     drop what the construction collapses, and is the name of their joint
     core under the shared word, or the basepoint when nothing is left;
-    SSet.build checks every identity."""
+    SSet.build checks every identity. Every caller's cells are fixed by reduce
+    and jointly nondegenerate, so a face tuple that is a cell is read by name."""
     names = {cell: name for name, cell in named}
     dims: dict[str, int] = {basepoint: 0}
     faces: dict[str, tuple[Simplex, ...]] = {}
     # an entry recurs in many cells, so its faces are taken once, when first needed
     faces_of = [functools.cache(lambda x, K=K: [face(K, x, i) for i in range(x.dim + 1)]) for K in factors]
+    rows = faces_of * max(map(len, names), default=0)  # entry j's faces, for the longest cell
+    # equal faces are one object in the complex, and a cell is its own class
+    known = {cell: _simplex(name, 0, cell[0].dim) for cell, name in names.items()}
 
-    @functools.cache  # equal faces are one object in the complex
     def face_class(xs: tuple[Simplex, ...]) -> Simplex:
         dim = xs[0].dim
-        word, core = joint_normal_form(reduce(xs), dim)
-        if not core:
-            return _simplex(basepoint, word, dim)
-        try:
-            return _simplex(names[core], word, dim)
-        except KeyError:
-            raise DomainError(f"face core {tuple(map(simplex_token, core))} is not a cell") from None
+        word, core = _joint_normal_form(reduce(xs), dim)
+        if core and core not in names:
+            raise DomainError(f"face core {tuple(map(simplex_token, core))} is not a cell")
+        known[xs] = out = _simplex(names[core] if core else basepoint, word, dim)
+        return out
 
     for cell, name in names.items():
         dims[name] = dim = cell[0].dim
         if dim:
-            faces[name] = tuple(map(face_class, zip(*map(operator.call, itertools.cycle(faces_of), cell))))
+            faces[name] = tuple(known.get(xs) or face_class(xs) for xs in zip(*map(operator.call, rows, cell)))
+    del names, faces_of, rows, known, face_class  # freed before the identity check, so their peaks do not add
     return SSet.build(basepoint, dims, faces)
 
 
@@ -512,7 +534,7 @@ def wedge(A: SSet, *more: SSet) -> SSet:
         dims |= {prefix + name: d for name, d in K.gens if name != K.basepoint}
         for name, row in K._faces.items():
             faces[prefix + name] = tuple(
-                _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.word, f.dim)
+                _simplex("*" if f.generator == K.basepoint else prefix + f.generator, f.mask, f.dim)
                 for f in row)
     return SSet.build("*", dims, faces) if more else A
 
@@ -551,9 +573,9 @@ def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
 
 
 def _smash_class(a: str, b: str, x: Simplex, y: Simplex) -> Simplex:
-    word, (cx, cy) = ((), (x, y)) if set(x.word).isdisjoint(y.word) else joint_normal_form((x, y), x.dim)
+    word, (cx, cy) = _joint_normal_form((x, y), x.dim) if x.mask & y.mask else (0, (x, y))
     if cx.generator == a or cy.generator == b:
-        return _simplex("*", tuple(range(x.dim - 1, -1, -1)), x.dim)
+        return _simplex("*", (1 << x.dim) - 1, x.dim)
     return _simplex(f"({simplex_token(cx)}^{simplex_token(cy)})", word, x.dim)
 
 
@@ -613,9 +635,7 @@ class SMap:
 
     def __call__(self, x: Simplex) -> Simplex:
         y = self._img[x.generator]
-        for i in reversed(x.word):
-            y = degenerate(y, i)
-        return y
+        return _simplex(y.generator, _insert(y.mask, x.mask), x.dim) if x.mask else y
 
     def image(self, name: str) -> Simplex:
         return self._img[name]

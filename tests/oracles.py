@@ -390,7 +390,8 @@ def assert_faces_follow_class_rule(K, cells, factors, rule):
     assert {name for name, _ in cells} | {K.basepoint} == set(K.generators())
     for name, cell in cells:
         dim = cell[0].dim
-        assert rule(cell) == (name, (), dim)
+        got = rule(cell)
+        assert (got.generator, got.word, got.dim) == (name, (), dim)
         for i in range(dim + 1 if dim else 0):
             faces = tuple(reference_face(factors[j % len(factors)], x, i) for j, x in enumerate(cell))
             assert K.faces_of(name)[i] == rule(faces), (name, i)

@@ -5,11 +5,13 @@ of products and smashes or the l./r. prefixes of wedges.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import gc
 import itertools
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehpcalc import simplicial
 from ehpcalc.errors import CapExceeded, DomainError, ExprParseError
-from ehpcalc.james import james_truncation
+from ehpcalc.james import james_truncation, smash_power
 from ehpcalc.simplicial import (
     SMap,
     SSet,
@@ -57,6 +59,7 @@ from oracles import (
     nondegenerate_count,
     reference_face,
     reference_in_degeneracy_image,
+    reference_insert_degeneracy,
     reference_joint_normal_form,
     shuffle_count,
 )
@@ -360,6 +363,51 @@ class TestNormalFormsAgainstReference:
             assert joint_normal_form((), d) == reference_joint_normal_form((), (), d)
 
 
+def every_word(K: SSet, top: int):
+    """Per dimension d <= top, the simplices s_W(g) of K for every subset W
+    of range(d), g the one generator of K of dimension d - len(W)."""
+    by_dim = {d: name for name, d in K.gens}
+    return {d: [Simplex(by_dim[d - len(w)], w, d) for k in range(d + 1)
+                for w in map(tuple, map(reversed, itertools.combinations(range(d), k)))] for d in range(top + 1)}
+
+
+# one generator per dimension up to 7: the spheres' faces lie over the
+# basepoint, so a face read from the table has every letter; the tower's
+# faces are the generator below, with none
+SPHERES = simplicial._wedge_of_spheres({f"e{k}": k for k in range(1, 8)})
+TOWER = SSet.build("g0", {f"g{k}": k for k in range(8)},
+                   {f"g{k}": (Simplex(f"g{k - 1}", (), k - 1),) * (k + 1) for k in range(1, 8)})
+
+
+class TestMaskKernelsExhaustive:
+    """The bitmask kernels against the tuple references of oracles.py, on
+    every strictly decreasing word up to dimension 7 and every index; the
+    joint normal form on every pair of words up to dimension 6, and in
+    dimension 7 (16,384 pairs, 6 s of reference time) on every 7th pair."""
+
+    @pytest.mark.parametrize("K", [SPHERES, TOWER], ids=["spheres", "tower"])
+    def test_face_and_degenerate(self, K):
+        for d, xs in every_word(K, 7).items():
+            for x in xs:
+                for i in range(d + 1):
+                    if d:
+                        assert face(K, x, i) == reference_face(K, x, i), (x, i)
+                    want = Simplex(x.generator, reference_insert_degeneracy(x.word, i), d + 1)
+                    assert degenerate(x, i) == want and degenerate(x, i).word == want.word, (x, i)
+
+    def test_joint_normal_form_of_pairs(self):
+        for d, xs in every_word(SPHERES, 7).items():
+            for x, y in itertools.islice(itertools.product(xs, repeat=2), None, None, 7 if d == 7 else 1):
+                assert joint_normal_form((x, y), d) == reference_joint_normal_form((SPHERES, SPHERES), (x, y), d)
+
+    @pytest.mark.parametrize("K", [SPHERES, TOWER], ids=["spheres", "tower"])
+    def test_face_text_round_trip(self, K):
+        dims = dict(K.gens)
+        for d, xs in every_word(K, 7).items():
+            for x in xs:
+                assert simplicial._parse_face(simplicial._face_str(x), d, dims) == x
+
+
 class TestHashedOnce:
     @staticmethod
     def fresh():
@@ -506,16 +554,22 @@ class TestSerialization:
 
 class TestSimplex:
     def test_a_simplex_is_the_tuple_of_its_fields(self):
-        x = Simplex("e1", (0,), 2)
-        assert repr(x) == "Simplex(generator='e1', word=(0,), dim=2)"
-        assert (x.generator, x.word, x.dim) == tuple(x) == ("e1", (0,), 2)
+        x = Simplex("e1", (2, 0), 3)
+        assert repr(x) == "Simplex(generator='e1', mask=5, dim=3)"
+        assert (x.generator, x.mask, x.dim) == tuple(x) == ("e1", 0b101, 3)
+        assert x.word == (2, 0) and type(x.word) is tuple
         assert x.is_degenerate and not Simplex("e1", (), 1).is_degenerate
 
     def test_equal_fields_hash_equal(self):
-        x, y = Simplex("e1", (0,), 2), simplicial._simplex("e1", (0,), 2)
-        assert x == y and hash(x) == hash(y) == hash(("e1", (0,), 2))
+        x, y = Simplex("e1", (0,), 2), simplicial._simplex("e1", 0b1, 2)
+        assert x == y and hash(x) == hash(y) == hash(("e1", 0b1, 2))
         assert type(y) is Simplex and {x: 1}[y] == 1
         assert Simplex("e1", (1,), 2) != x and Simplex("e1", (0,), 3) != x
+
+    def test_copies_and_pickles_rebuild_from_the_word(self):
+        x = Simplex("e1", (3, 1), 4)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is Simplex and y == x and y.word == (3, 1)
 
     def test_bad_words_refused(self):
         with pytest.raises(DomainError, match="not strictly decreasing"):
@@ -538,6 +592,14 @@ class TestFacesNamedByClassRule:
             assert_faces_follow_class_rule(P, pairs, (A, B), lambda xy: _pair_token(A, B, xy))
             Q, pairs = smash_with_pairs(A, B)
             assert_faces_follow_class_rule(Q, pairs, (A, B), lambda xy: smash_class(A, B, *xy))
+
+    def test_cube_of_a_wedge_of_four_circles(self):
+        # the shape library sessions build most: (W ^ W) ^ W for W = S1 v S1 v S1 v S1
+        W = wedge(S1, S1, S1, S1)
+        A = smash(W, W)
+        Q, pairs = smash_with_pairs(A, W)
+        assert Q == smash_power(W, 3) and Q.n_generators == 1 + 4 ** 3 * (1 + 6 + 6)
+        assert_faces_follow_class_rule(Q, pairs, (A, W), lambda xy: smash_class(A, W, *xy))
 
     def test_cells_not_closed_under_faces_refused(self):
         e = S1.simplex("e1")
@@ -665,6 +727,26 @@ REFUSALS = [
      "image of 'e1' is not a Simplex: 'junk'"),
     ("insert_degeneracy: negative index", lambda: insert_degeneracy((), -1),
      "degeneracy index must be nonnegative, got -1"),
+    # a degeneracy or face index is exactly an int, and not negative
+    ("Simplex: negative index", lambda: Simplex("e1", (-1,), 2), "degeneracy index -1 out of range for dim 2"),
+    ("Simplex: negative last index", lambda: Simplex("e1", (2, 0, -1), 4),
+     "degeneracy index -1 out of range for dim 4"),
+    ("Simplex: float index", lambda: Simplex("e1", (0.5,), 2), "degeneracy index must be of type int, got 0.5"),
+    ("Simplex: bool index", lambda: Simplex("e1", (True,), 2), "degeneracy index must be of type int, got True"),
+    ("Simplex: str index", lambda: Simplex("e1", ("a",), 2), "degeneracy index must be of type int, got 'a'"),
+    ("Simplex: str after an int", lambda: Simplex("e1", (1, "0"), 3), "degeneracy index must be of type int, got '0'"),
+    ("SSet.simplex: bool index", lambda: S1.simplex("e1", (True,)), "degeneracy index must be of type int, got True"),
+    ("SSet.simplex: negative index", lambda: S1.simplex("e1", (-1,)), "degeneracy index -1 out of range for dim 2"),
+    ("build: face with a negative index",
+     lambda: SSet.build("*", {"*": 0, "a": 2}, {"a": (Simplex("*", (-1,), 1),) * 3}),
+     "degeneracy index -1 out of range for dim 1"),
+    ("degenerate: bool index", lambda: degenerate(S1.simplex("e1"), True),
+     "degeneracy index must be of type int, got True"),
+    ("degenerate: float index", lambda: degenerate(S1.simplex("e1"), 0.0),
+     "degeneracy index must be of type int, got 0.0"),
+    ("face: bool index", lambda: face(S1, S1.simplex("e1"), True), "face index must be of type int, got True"),
+    ("face: float index", lambda: face(S1, S1.simplex("e1"), 0.5), "face index must be of type int, got 0.5"),
+    ("face: negative index", lambda: face(S1, S1.simplex("e1"), -1), "face index -1 out of range for dim 1"),
     ("smash_class: dimensions differ", lambda: smash_class(S1, S1, S1.simplex("e1"), S1.basepoint_simplex(2)),
      "component dimensions differ: 1 vs 2"),
     ("sset_from_doc: no basepoint", lambda: sset_from_doc({"generators": []}),
