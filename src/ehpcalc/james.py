@@ -7,12 +7,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, DomainError
-from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _joint_normal_form,
-                         _letters, _shared, _simplex, _smash_class, _tuple_complex, collapse, degenerate,
-                         dimension_census, face, nondegenerate_tuples, pair_census, simplex_token, smash, smash_census)
+from .assembly import _Lazy, _placed, _tables, _tuple_complex
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _joint_normal_form, _letters,
+                         _nondegenerate_positions, _shared, _simplex, _smash_class, collapse, degenerate,
+                         dimension_census, face, pair_census, simplex_token, smash, smash_census)
 
 TRUNCATION_CAP = 2000
 # Most factors of a smash power: a power of S^0 keeps two generators while
@@ -173,13 +174,29 @@ def james_census(K: SSet, n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _james_data(K: SSet, n: int) -> tuple[SSet, dict[str, JamesWord]]:
-    letters = {m: [x for x in K.simplices(m) if x.generator != K.basepoint] for m in james_census(K, n)}
-    cells = (xs for m, ys in letters.items() if ys for ell in range(1, n + 1)
-             for xs in nondegenerate_tuples([ys], m, power=ell))
-    tokens = {x: simplex_token(x) for ys in letters.values() for x in ys}  # once per letter
-    named = [(f"[{'|'.join(map(tokens.__getitem__, xs))}]", xs) for xs in cells]  # words can be long
-    J = _tuple_complex("*", (K,), named, lambda xs: tuple(x for x in xs if x.generator != K.basepoint))
-    return J, {name: _word(K, xs[0].dim, xs) for name, xs in sorted(named)}
+    census = james_census(K, n)  # refused past the cap before any word is built
+    tables, words = _tables(K), []
+    J = _tuple_complex("*", tables, _word_rows(tables[0], census, n, words),
+                       lambda xs: tuple(itertools.compress(xs, map(K.basepoint.__ne__, map(_generator, xs)))),
+                       max(census), True)
+    return J, {name: _word(K, xs[0].dim, xs) for name, xs in sorted(words)}
+
+
+def _word_rows(table: _Lazy, census, n: int, words: list):
+    """The (m, prefix, named) rows of _tuple_complex for the words of length
+    1..n over table's non-basepoint m-simplices, for each m of census,
+    named "[x|y|...]" from the table's tokens; each word's (name, letters)
+    is added to words."""
+    for m in census:
+        level = table[m]
+        letters, token = level.simplices, level.tokens.__getitem__
+        for length in range(1, n + 1) if level.rest else ():
+            for prefix, lasts in _nondegenerate_positions([level.rest] * length, [level.masks] * length, m):
+                named = {}
+                for q in lasts:  # words can be long: each name and word is read in C
+                    named[q] = name = "[" + "|".join(map(token, prefix + (q,))) + "]"
+                    words.append((name, itemgetter(*prefix, q)(letters) if prefix else (letters[q],)))
+                yield m, prefix, named
 
 
 def james_truncation(K: SSet, n: int) -> SSet:
@@ -269,7 +286,8 @@ def james_hopf_map(K: SSet, n: int, r: int) -> SMap:
         token = "|".join(simplex_token(power_class(core[k:k + r])) for k in range(0, len(core), r))
         images[name] = _simplex(f"[{token}]" if token else "*", word, w.dim)
         cells[images[name].generator] = core  # the empty word is the basepoint cell
-    T = _tuple_complex("*", (K,), ((g, xs) for g, xs in cells.items() if xs), kept)
+    tables = _tables(K)
+    T = _tuple_complex("*", tables, _placed(tables, ((g, xs) for g, xs in cells.items() if xs)), kept, J.max_dim)
     images["*"] = T.basepoint_simplex(0)
     return SMap.build(J, T, images)
 

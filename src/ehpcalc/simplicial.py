@@ -15,7 +15,6 @@ operations, and the tuple of letters is only a view, for text and tuple APIs.
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import json
 import math
@@ -65,6 +64,8 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     Words are strictly decreasing tuples (i_k, ..., i_1) denoting
     s_{i_k} ... s_{i_1}, leftmost entry outermost.  Uses the identity
     s_i s_j = s_{j+1} s_i for i <= j, on the word's bitmask (see _insert).
+    Refuses, as Simplex does, an index that is not exactly an int, a
+    negative one and a word that is not strictly decreasing.
 
     >>> insert_degeneracy((), 0)
     (0,)
@@ -73,8 +74,12 @@ def insert_degeneracy(word: tuple[int, ...], i: int) -> tuple[int, ...]:
     >>> insert_degeneracy((2, 0), 4)
     (4, 2, 0)
     """
-    if i < 0:
-        raise DomainError(f"degeneracy index must be nonnegative, got {i}")
+    if not _all_of_type((*word, i), int):
+        raise _bad_index(next(j for j in (*word, i) if type(j) is not int), "degeneracy", 0)  # dim unread
+    if not all(map(operator.gt, word, word[1:])):
+        raise DomainError(f"degeneracy word {word} is not strictly decreasing")
+    if (low := min(i, word[-1]) if word else i) < 0:
+        raise DomainError(f"degeneracy index must be nonnegative, got {low}")
     return _letters(_insert(sum(map((1).__lshift__, word)), 1 << i))
 
 
@@ -120,14 +125,18 @@ def _simplex(generator: str, mask: int, dim: int) -> Simplex:
     return tuple.__new__(Simplex, (generator, mask, dim))
 
 
+_new_simplex = functools.partial(tuple.__new__, Simplex)  # _simplex on the tuple (generator, mask, dim), in C
+
+
 def _all_of_type(values, kind: type) -> bool:
     """True iff every value is of exactly type kind (so a bool is not an
     int), checked in C."""
     return set(map(type, values)) <= {kind}
 
 
-# no whitespace, and not a degeneracy operator such as "s0"
-_NAME_RE = re.compile(r"(?!s\d+\Z)\S+$")
+# no whitespace, and not a degeneracy operator such as "s0"; \Z, since $
+# would also match before a final newline
+_NAME_RE = re.compile(r"(?!s\d+\Z)\S+\Z")
 
 
 @dataclass(frozen=True)
@@ -338,15 +347,33 @@ def dimension_census(K: SSet, basepoint: bool) -> dict[int, int]:
     return Counter(d for name, d in K.gens if basepoint or name != K.basepoint)
 
 
-def nondegenerate_tuples(choices, m: int, power: int = 1):
+def _nondegenerate_positions(choices, masks, m: int):
+    """The jointly nondegenerate tuples of positions, entry j one of
+    choices[j] with its mask read in masks[j], prefix first: (prefix, lasts)
+    for each prefix in itertools.product order that some last choice
+    completes, with those choices in order. A last choice completes a prefix
+    when its mask has none of the prefix's shared bits; the choices for
+    each shared mask are found once."""
+    *heads, last = choices
+    last_masks, lasts, full = masks[len(heads)], {}, (1 << m) - 1
+    for prefix in itertools.product(*heads):  # every tuple of vertices is nondegenerate
+        shared = full and functools.reduce(operator.and_, map(operator.getitem, masks, prefix), full)
+        if (row := lasts.get(shared)) is None:
+            row = lasts[shared] = [q for q in last if not shared & last_masks[q]]
+        if row:
+            yield prefix, row
+
+
+def nondegenerate_tuples(choices, m: int):
     """The jointly nondegenerate tuples of m-simplices, one from each list of
-    choices, the list of choices repeated power times, in itertools.product
-    order: an entry of the last list completes a prefix when its mask has
-    none of the prefix's shared bits."""
-    *heads, last = list(map(tuple, choices)) * power
-    for prefix in itertools.product(*heads):
-        shared = _shared(prefix, m)
-        yield from (prefix + (x,) for x in last if not shared & x.mask)
+    choices, in itertools.product order: _nondegenerate_positions read as
+    simplices."""
+    choices = list(map(tuple, choices))
+    *heads, last = choices
+    for prefix, lasts in _nondegenerate_positions([range(len(c)) for c in choices],
+                                                  [list(map(_mask_of, c)) for c in choices], m):
+        head = tuple(map(operator.getitem, heads, prefix))
+        yield from (head + (last[q],) for q in lasts)
 
 
 def simplex_token(x: Simplex) -> str:
@@ -441,80 +468,17 @@ def smash_census(ca: dict[int, int], cb: dict[int, int]) -> Counter:
     return _BASEPOINT + pairs
 
 
-def _collector_paused(build):
-    """build with the cyclic collector paused and then left as it was.
-    Everything a build makes outlives it, so each collector pass during the
-    build would only walk those objects again; lazy arguments are consumed
-    inside the pause too. A collector that was on takes one pass over its
-    youngest generation when the build ends: the pass it owes for what the
-    build made, paid there and not by whatever allocates next."""
-    @functools.wraps(build)
-    def paused(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args)
-        finally:
-            if enabled:
-                gc.enable()
-                gc.collect(0)
-    return paused
-
-
-@_collector_paused
-def _tuple_complex(basepoint: str, factors, named, reduce) -> SSet:
-    """The complex on the given (name, cell) pairs, each cell a tuple of
-    m-simplices with entry j in factors[j % len(factors)]. Each cell is
-    named once. Face i of a cell takes its entries' faces i, lets reduce
-    drop what the construction collapses, and is the name of their joint
-    core under the shared word, or the basepoint when nothing is left;
-    SSet.build checks every identity. Every caller's cells are fixed by reduce
-    and jointly nondegenerate, so a face tuple that is a cell is read by name."""
-    names = {cell: name for name, cell in named}
-    dims: dict[str, int] = {basepoint: 0}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    # an entry recurs in many cells, so its faces are taken once, when first needed
-    faces_of = [functools.cache(lambda x, K=K: [face(K, x, i) for i in range(x.dim + 1)]) for K in factors]
-    rows = faces_of * max(map(len, names), default=0)  # entry j's faces, for the longest cell
-    # equal faces are one object in the complex, and a cell is its own class
-    known = {cell: _simplex(name, 0, cell[0].dim) for cell, name in names.items()}
-
-    def face_class(xs: tuple[Simplex, ...]) -> Simplex:
-        dim = xs[0].dim
-        word, core = _joint_normal_form(reduce(xs), dim)
-        if core and core not in names:
-            raise DomainError(f"face core {tuple(map(simplex_token, core))} is not a cell")
-        known[xs] = out = _simplex(names[core] if core else basepoint, word, dim)
-        return out
-
-    for cell, name in names.items():
-        dims[name] = dim = cell[0].dim
-        if dim:
-            faces[name] = tuple(known.get(xs) or face_class(xs) for xs in zip(*map(operator.call, rows, cell)))
-    del names, faces_of, rows, known, face_class  # freed before the identity check, so their peaks do not add
-    return SSet.build(basepoint, dims, faces)
-
-
-def _cells(factors, basepoints: bool):
-    """The jointly nondegenerate tuples of simplices, one from each factor,
-    over basepoint generators too if basepoints."""
-    for m in range(sum(K.max_dim for K in factors) + 1):
-        choices = [[x for x in K.simplices(m) if basepoints or x.generator != K.basepoint] for K in factors]
-        yield from nondegenerate_tuples(choices, m)
-
-
-def _named_pairs(A: SSet, B: SSet, sep: str, basepoints: bool):
-    """(name, (x, y)) for the jointly nondegenerate pairs, named "(x<sep>y)",
-    lazily; an entry recurs in many pairs, so each entry's token is taken once."""
-    token = functools.cache(simplex_token)
-    return ((f"({token(x)}{sep}{token(y)})", (x, y)) for x, y in _cells((A, B), basepoints))
+# The tuple-complex assembly reads the kernels above, and product and smash
+# below read it, so it is imported here.
+from .assembly import _named_pairs, _pair_rows, _tables, _tuple_complex  # noqa: E402
 
 
 @functools.lru_cache(maxsize=None)
 def product(A: SSet, B: SSet) -> SSet:
     """Categorical product, its cells the jointly nondegenerate pairs "(x,y)"."""
     product_census(dimension_census(A, True), dimension_census(B, True))
-    return _tuple_complex(f"({A.basepoint},{B.basepoint})", (A, B), _named_pairs(A, B, ",", True), tuple)
+    tables, top = _tables(A, B), A.max_dim + B.max_dim
+    return _tuple_complex(f"({A.basepoint},{B.basepoint})", tables, _pair_rows(tables, ",", True, top), tuple, top)
 
 
 def product_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:
@@ -562,8 +526,10 @@ def smash(A: SSet, B: SSet) -> SSet:
     with no basepoint core, named "(x^y)"; a face whose joint normal
     form has a basepoint core lands on the basepoint "*"."""
     smash_census(dimension_census(A, True), dimension_census(B, True))
-    return _tuple_complex("*", (A, B), _named_pairs(A, B, "^", False),
-                          lambda xy: () if xy[0].generator == A.basepoint or xy[1].generator == B.basepoint else xy)
+    tables, top = _tables(A, B), A.max_dim + B.max_dim
+    return _tuple_complex("*", tables, _pair_rows(tables, "^", False, top),
+                          lambda xy: () if A.basepoint == xy[0].generator or B.basepoint == xy[1].generator else xy,
+                          top)
 
 
 def smash_with_pairs(A: SSet, B: SSet) -> tuple[SSet, PairTable]:

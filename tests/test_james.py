@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import re
+from collections import Counter
 from math import comb
 
 import pytest
@@ -182,10 +183,10 @@ class TestTruncation:
                 assert james_census(K, n) == built == oracle, (K, n)
 
     def test_refused_before_any_word_is_built(self, monkeypatch):
-        def unreachable(choices, m):
+        def unreachable(choices, masks, m):
             raise AssertionError("a truncation past the cap was enumerated")
 
-        monkeypatch.setattr(james, "nondegenerate_tuples", unreachable)
+        monkeypatch.setattr(james, "_nondegenerate_positions", unreachable)
         with pytest.raises(CapExceeded, match=f"^truncation exceeds {TRUNCATION_CAP} generators$"):
             james_truncation(S1, 6)
 
@@ -393,10 +394,10 @@ class TestHopfMap:
     def test_subsequence_cap_refused_before_any_word_is_built(self, monkeypatch):
         # the first word past the cap is the shortest one, known from n and r;
         # the truncation cap still comes first
-        def unreachable(choices, m):
+        def unreachable(choices, masks, m):
             raise AssertionError("a hopf map past the cap was enumerated")
 
-        monkeypatch.setattr(james, "nondegenerate_tuples", unreachable)
+        monkeypatch.setattr(james, "_nondegenerate_positions", unreachable)
         with pytest.raises(CapExceeded, match="^hopf word: 25200 subsequences, over the cap of 25000$"):
             james_hopf_map(S0, 1999, 2)
         with pytest.raises(CapExceeded, match="^hopf word: 54264 subsequences, over the cap of 25000$"):
@@ -456,6 +457,11 @@ SMASH_POWER_DIGESTS = [
 ]
 
 
+def circle_wedge(k: int) -> SSet:
+    """K_k = wedge(K_{k-1}, S1), the wedge of k circles built one circle at a time."""
+    return functools.reduce(wedge, [S1] * k)
+
+
 # The other complexes _tuple_complex builds: SHA-256 of sset_dumps, recorded
 # before the build paused the collector and named each entry once
 BUILD_DIGESTS = {
@@ -475,6 +481,38 @@ BUILD_DIGESTS = {
                                            "8b5c2b3f63f7cfed604766c8a9bcacafcb56a32ac5333cf500a1be654075ad06"),
     "smash_power(wedge of 8 circles, 3)": (lambda: smash_power(wedge(*[S1] * 8), 3),
                                            "26689e210e52409eb969e2393a283bf08d04e1122e54e65bb7a42f143d38e60d"),
+    "target of james_hopf_map(S1 v S1, 2, 2)": (lambda: james_hopf_map(W, 2, 2).target,
+                                                "8b02e6c6b59b9de9c61618ab2e108f9c6d0bc646cf40df62e008f3d59830f0b4"),
+    # the smash powers a library session builds, each circle wedged on in turn;
+    # recorded before the build read faces by position
+    "smash_power(K2, 2)": (lambda: smash_power(circle_wedge(2), 2),
+                           "2de2ba55507f1854a83ccbf03e5e95eceb4d7815c66ded6fa600d6f778b464e0"),
+    "smash_power(K2, 3)": (lambda: smash_power(circle_wedge(2), 3),
+                           "82968f6e41c1c23134d1e9a02fcadb0e2ac14954512fea7f5d99edae83dbbe8e"),
+    "smash_power(K3, 2)": (lambda: smash_power(circle_wedge(3), 2),
+                           "7bad89fa1405a682d9c93a733f97a2e5c95f6775db5dd1bd4e32f0931bcfec1b"),
+    "smash_power(K3, 3)": (lambda: smash_power(circle_wedge(3), 3),
+                           "da4eff74c2b0020ef2c7d434bee65f5e6059d06199cdead795571b771515aa1d"),
+    "smash_power(K4, 2)": (lambda: smash_power(circle_wedge(4), 2),
+                           "acc04a22ee15f80b2f1b866ed3e1bd6d6bcbfd45c5ab0c136ba34db11e79b4b1"),
+    "smash_power(K4, 3)": (lambda: smash_power(circle_wedge(4), 3),
+                           "6ae4a728c50bbbb353b7bd473c11570451be7895a04ec6d268baf6b15103c14e"),
+    "smash_power(K5, 2)": (lambda: smash_power(circle_wedge(5), 2),
+                           "c2696ffa9699579f1e58f85d63ba2b4abcb0e737c86dd11d5c16770efeb3c758"),
+    "smash_power(K5, 3)": (lambda: smash_power(circle_wedge(5), 3),
+                           "55fca0d6bf43c5e371df7cb69d384103f4f63e0d3102055e2f10c1f03cefb470"),
+    "smash_power(K6, 2)": (lambda: smash_power(circle_wedge(6), 2),
+                           "f1545b4b99ba5e2ffcbe41f47703f03c599cb8537d668818c987d03c05e3199b"),
+    "smash_power(K6, 3)": (lambda: smash_power(circle_wedge(6), 3),
+                           "daee601afaabe8a09dd84034e37340084405f382f7ccac9c30708fda34d180b3"),
+    "smash_power(K7, 2)": (lambda: smash_power(circle_wedge(7), 2),
+                           "755cc261facea329ab7a6ffda809aec5f1cd4d6ff2a5edf23d74601790cc3d38"),
+    "smash_power(K7, 3)": (lambda: smash_power(circle_wedge(7), 3),
+                           "842cbb55120651a6163c6a5deb82429ff1eecf6233530336a989da2d7fa34328"),
+    "smash_power(K8, 2)": (lambda: smash_power(circle_wedge(8), 2),
+                           "d3e6c5c6629d54a849fcf206d9127c3d9cb1d25b1e333350d9922a933328daa9"),
+    "smash_power(K8, 3)": (lambda: smash_power(circle_wedge(8), 3),
+                           "26689e210e52409eb969e2393a283bf08d04e1122e54e65bb7a42f143d38e60d"),
     # complexes built by SSet.build directly, recorded while each complex
     # still kept its generators and faces twice
     "wedge(S1, S2, S0)": (lambda: wedge(S1, S2, S0),
@@ -494,6 +532,26 @@ BUILD_DIGESTS = {
 def test_tuple_complexes_dump_as_recorded(case):
     build, want = BUILD_DIGESTS[case]
     assert hashlib.sha256(sset_dumps(build()).encode()).hexdigest() == want
+
+
+def test_each_factor_face_taken_once_per_build(monkeypatch):
+    # a smash(P, K) build takes each face of a factor's simplex at most once;
+    # names no other test uses, so no cache answers the build
+    bp = Simplex("*", (), 0)
+    K = SSet.build("*", {"*": 0, "once-u": 1, "once-v": 1}, {"once-u": (bp, bp), "once-v": (bp, bp)})
+    P = smash(K, K)
+    taken = Counter()
+
+    def counting(L, x, i):
+        if L is P or L is K:
+            taken[id(L), x, i] += 1
+        return simplicial_face(L, x, i)
+
+    monkeypatch.setattr(simplicial, "face", counting)
+    Q = smash(P, K)
+    assert Q.n_generators == 1 + 8 * 13
+    assert taken and max(taken.values()) == 1
+    assert {L for L, _, _ in taken} == {id(P), id(K)}
 
 
 class TestSmashPowerBudget:
@@ -582,7 +640,7 @@ class TestPowerCensus:
         def fail(*args, **kwargs):
             raise AssertionError("a smash power is counted from censuses")
 
-        monkeypatch.setattr(simplicial, "_cells", fail)
+        monkeypatch.setattr(simplicial, "_pair_rows", fail)
         monkeypatch.setattr(simplicial, "_tuple_complex", fail)
         text = ("smash: 342566584152323695893593004830544509200334195676583250434886946625772623388566088060"
                 "131481474087365900788603897239792170063380018210065845972813057494514295615534095492070043"

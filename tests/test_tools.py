@@ -89,3 +89,11 @@ def test_cold_ops_times_each_argv_twice_in_a_fresh_fork():
         ms, faults, exits = re.fullmatch(r".* run: median ([\d.]+) ms, ([\d.]+) minor page faults, (\d+) nonzero exits",
                                          line).groups()
         assert float(ms) > 0 and float(faults) >= 0 and exits == "0"
+
+
+def test_build_ladder_times_a_first_build_in_a_fresh_child():
+    done = subprocess.run([sys.executable, str(TOOLS / "build_ladder.py"), "--rung", "smash_power(W8,3)"],
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    rung, seconds, peak = re.fullmatch(r"(.+): ([\d.]+) s, ([\d.]+) MB", done.stdout.strip()).groups()
+    assert rung == "smash_power(W8,3)" and float(seconds) > 0 and float(peak) > 0
