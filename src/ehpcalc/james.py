@@ -11,8 +11,8 @@ from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, DomainError
 from .assembly import _Lazy, _placed, _tables, _tuple_complex
-from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _joint_normal_form, _letters,
-                         _nondegenerate_positions, _shared, _simplex, _smash_class, collapse, degenerate,
+from .simplicial import (SMASH_POWER_CAP, SMap, SSet, Simplex, _BASEPOINT, _all_of_type, _bad_index, _joint_normal_form,
+                         _letters, _nondegenerate_positions, _shared, _simplex, _smash_class, collapse, degenerate,
                          dimension_census, face, pair_census, simplex_token, smash, smash_census)
 
 TRUNCATION_CAP = 2000
@@ -110,10 +110,14 @@ def _word(K: SSet, dim: int, letters: tuple[Simplex, ...]) -> JamesWord:
 def word_face(w: JamesWord, i: int) -> JamesWord:
     if w.dim == 0:
         raise DomainError("a 0-dimensional word has no faces")
+    if type(i) is not int or not 0 <= i <= w.dim:
+        raise _bad_index(i, "face", w.dim)
     return _word(w.complex, w.dim - 1, tuple(face(w.complex, x, i) for x in w.letters))
 
 
 def word_degenerate(w: JamesWord, i: int) -> JamesWord:
+    if type(i) is not int or not 0 <= i <= w.dim:
+        raise _bad_index(i, "degeneracy", w.dim)
     return _word(w.complex, w.dim + 1, tuple(degenerate(x, i) for x in w.letters))
 
 

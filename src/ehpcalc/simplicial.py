@@ -304,17 +304,14 @@ def face(K: SSet, x: Simplex, i: int) -> Simplex:
 
 def in_degeneracy_image(K: SSet, x: Simplex, i: int) -> bool:
     """True iff x = s_i(y) for some y (then y = d_i(x)): i is in x's word."""
+    if type(i) is not int:
+        raise _bad_index(i, "degeneracy", x.dim)
     return 0 <= i and x.mask >> i & 1 == 1
 
 
 def _shared(xs: tuple[Simplex, ...], dim: int) -> int:
     """The mask of the letters every x has; of all of range(dim) if xs is empty."""
     return functools.reduce(operator.and_, map(_mask_of, xs), (1 << dim) - 1)
-
-
-def shared_degeneracies(xs: tuple[Simplex, ...], dim: int) -> set[int]:
-    """Indices i with every x in the image of s_i; all of range(dim) if xs is empty."""
-    return set(_letters(_shared(xs, dim)))
 
 
 def _joint_normal_form(xs: tuple[Simplex, ...], dim: int) -> tuple[int, tuple[Simplex, ...]]:
@@ -592,10 +589,8 @@ class SMap:
                 raise DomainError(f"image of {name!r} has wrong dimension")
             if d == 0:
                 continue
-            for i in range(d + 1):
-                lhs = f(face(source, source.simplex(name), i))
-                rhs = face(target, images[name], i)
-                if lhs != rhs:
+            for i, x in enumerate(source._faces[name]):
+                if f(x) != face(target, images[name], i):
                     raise DomainError(f"not simplicial at generator {name!r}, face {i}")
         return f
 

@@ -133,15 +133,31 @@ class TestSmithNormalForm:
                 random_matrix(rng, n, n)
         for n in (11, 12):
             for _ in range(30):
-                M = random_matrix(rng, n, n)
-                factors, U, V = smith_normal_form(M)
-                D = U @ M @ V
-                assert D.entries == tuple(
-                    tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(n))
-                    for i in range(n))
-                assert abs(integer_det([list(r) for r in U.entries])) == 1
-                assert abs(integer_det([list(r) for r in V.entries])) == 1
-                assert max(abs(v).bit_length() for X in (U, V) for r in X.entries for v in r) < 64 * n
+                assert_certified(random_matrix(rng, n, n), 64 * n)
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_large_draws_stay_small(self, n):
+        # With no size reduction of U at all, the 20 x 20 draw reaches 23,433 bits.
+        assert_certified(random_matrix(random.Random(n), n, n), 64 * n)
+
+    def test_reduction_ends_on_six_digit_entries(self):
+        # The size reduction once took any step that shortened a row at all,
+        # and ran for minutes on this matrix. The bound is 64 n bits per 4
+        # bits of entry (9 has 4); with no size reduction V reaches 9,919.
+        rng = random.Random(13)
+        rows = [[rng.randint(-999_999, 999_999) if rng.random() < 0.7 else 0 for _ in range(11)] for _ in range(10)]
+        assert_certified(IntegerMatrix.from_rows(rows, 11), 64 * 11 * (999_999).bit_length() // 4)
+
+
+def assert_certified(M, most_bits):
+    """smith_normal_form(M) has U*M*V = diag(factors), unimodular U and V,
+    and no entry of U or V with most_bits bits or more."""
+    factors, U, V = smith_normal_form(M)
+    assert (U @ M @ V).entries == tuple(
+        tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(M.cols)) for i in range(M.rows))
+    assert abs(integer_det([list(r) for r in U.entries])) == 1
+    assert abs(integer_det([list(r) for r in V.entries])) == 1
+    assert max(abs(v).bit_length() for X in (U, V) for r in X.entries for v in r) < most_bits
 
 
 SPARSE_ENTRIES = (0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -4, 6)

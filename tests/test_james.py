@@ -148,6 +148,19 @@ REFUSALS = [
     ("james_hopf_letters: r = 0", lambda: james_hopf_letters(JamesWord(S1, 1, (S1.simplex("e1"),)), 0),
      "subsequence length must be >= 1"),
     ("james_hopf_map: n = 0", lambda: james_hopf_map(S1, 0, 2), "levels must be >= 1"),
+    # a word refuses the indices its letters would, even with no letters to refuse them
+    ("word_face: index past dim, no letters", lambda: word_face(JamesWord(S1, 1, ()), 7),
+     "face index 7 out of range for dim 1"),
+    ("word_face: index past dim", lambda: word_face(JamesWord(S1, 1, (S1.simplex("e1"),)), 5),
+     "face index 5 out of range for dim 1"),
+    ("word_face: bool index, no letters", lambda: word_face(JamesWord(S1, 1, ()), True),
+     "face index must be of type int, got True"),
+    ("word_degenerate: negative index, no letters", lambda: word_degenerate(JamesWord(S1, 1, ()), -3),
+     "degeneracy index -3 out of range for dim 1"),
+    ("word_degenerate: negative index", lambda: word_degenerate(JamesWord(S1, 1, (S1.simplex("e1"),)), -3),
+     "degeneracy index -3 out of range for dim 1"),
+    ("word_degenerate: float index, no letters", lambda: word_degenerate(JamesWord(S1, 1, ()), 0.5),
+     "degeneracy index must be of type int, got 0.5"),
 ]
 
 

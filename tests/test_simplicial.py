@@ -158,6 +158,8 @@ class TestOperators:
             for x in all_simplices(K):
                 for i in range(x.dim):
                     assert in_degeneracy_image(K, x, i) == (i in x.word)
+                # any other int is in no word
+                assert not any(in_degeneracy_image(K, x, i) for i in (-1, x.dim, x.dim + 5))
 
 
 class TestConstructors:
@@ -760,6 +762,10 @@ REFUSALS = [
     ("face: bool index", lambda: face(S1, S1.simplex("e1"), True), "face index must be of type int, got True"),
     ("face: float index", lambda: face(S1, S1.simplex("e1"), 0.5), "face index must be of type int, got 0.5"),
     ("face: negative index", lambda: face(S1, S1.simplex("e1"), -1), "face index -1 out of range for dim 1"),
+    ("in_degeneracy_image: float index", lambda: in_degeneracy_image(S1, S1.simplex("e1"), 0.5),
+     "degeneracy index must be of type int, got 0.5"),
+    ("in_degeneracy_image: bool index", lambda: in_degeneracy_image(S1, S1.simplex("e1", (1,)), True),
+     "degeneracy index must be of type int, got True"),
     ("smash_class: dimensions differ", lambda: smash_class(S1, S1, S1.simplex("e1"), S1.basepoint_simplex(2)),
      "component dimensions differ: 1 vs 2"),
     ("sset_from_doc: no basepoint", lambda: sset_from_doc({"generators": []}),

@@ -5,9 +5,10 @@
 
 Each rung is one build that the library makes from scratch: a product or
 smash with a high sphere, a smash power, a long James truncation and the
-cube of the wedge of eight circles. For each run of each rung a new
-interpreter imports ehpcalc from ROOT/src (this checkout by default), makes
-the operands, then times the build alone. It prints one line per build:
+cube of the wedge of eight circles. A rung can also be a reduction: the
+certified Smith form of a dense 24 x 24 draw. For each run of each rung a
+new interpreter imports ehpcalc from ROOT/src (this checkout by default),
+makes the operands, then times the build alone. It prints one line per build:
 the rung, the seconds the build took, and the child's peak resident set
 size (ru_maxrss, import and operands included). Every cache is cold in a
 new process, so each line is a first build. Standard library only; POSIX
@@ -31,10 +32,14 @@ RUNGS = {
     "smash_power(S2,4)": ("K = build_sphere(2)", "smash_power(K, 4)"),
     "J(S0,1999)": ("K = build_sphere(0)", "james_truncation(K, 1999)"),
     "smash_power(W8,3)": ("K = wedge(*[build_sphere(1)] * 8)", "smash_power(K, 3)"),
+    "smith_normal_form(24x24)": ("rng = random.Random(24); "
+                                 "M = IntegerMatrix.from_rows([[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)])",
+                                 "smith_normal_form(M)"),
 }
 
 CHILD = """
-import json, resource, sys, time
+import json, random, resource, sys, time
+from ehpcalc.homology import IntegerMatrix, smith_normal_form
 from ehpcalc.james import james_truncation, smash_power
 from ehpcalc.simplicial import build_sphere, product, smash, wedge
 operands, build = sys.argv[1:3]
